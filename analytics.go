@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dbest/internal/core"
+	"dbest/internal/exact"
 )
 
 // This file implements the paper's qualitative contributions (§1): beyond
@@ -172,26 +173,18 @@ func (e *Engine) Describe(tbl, xcol, ycol string, lb, ub float64) (*Description,
 	}
 	m := ms.Uni
 	d := &Description{XCol: xcol, YCol: ycol, Lb: lb, Ub: ub}
-	d.Count = m.Count(lb, ub)
-	if d.Avg, err = m.Avg(lb, ub); err != nil {
-		return nil, err
-	}
-	if d.Sum, err = m.Sum(lb, ub); err != nil {
-		return nil, err
-	}
-	if d.Variance, err = m.VarianceY(lb, ub); err != nil {
-		return nil, err
-	}
-	d.StdDev = math.Sqrt(d.Variance)
 	for _, q := range []struct {
+		af  exact.AggFunc
 		p   float64
 		dst *float64
-	}{{0.25, &d.XQ1}, {0.5, &d.XMedian}, {0.75, &d.XQ3}} {
-		v, err := m.Percentile(q.p, lb, ub)
-		if err != nil {
+	}{
+		{exact.Count, 0, &d.Count}, {exact.Avg, 0, &d.Avg}, {exact.Sum, 0, &d.Sum},
+		{exact.Variance, 0, &d.Variance}, {exact.StdDev, 0, &d.StdDev},
+		{exact.Percentile, 0.25, &d.XQ1}, {exact.Percentile, 0.5, &d.XMedian}, {exact.Percentile, 0.75, &d.XQ3},
+	} {
+		if *q.dst, err = m.Aggregate(q.af, lb, ub, false, q.p); err != nil {
 			return nil, err
 		}
-		*q.dst = v
 	}
 	return d, nil
 }

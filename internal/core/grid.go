@@ -61,7 +61,9 @@ const gridErrBound = 1e-8
 
 // Process-wide evaluation-kernel counters (exposed as /stats fields).
 // gridHits/gridFallbacks count model-path integral evaluations answered by
-// a grid vs by adaptive quadrature; quadNonconverged counts quadrature runs
+// a grid vs by the gridless fallbacks (adaptive quadrature for the moment
+// integrals, the O(bins) closed-form CDF for the mass — a grid's own mass
+// lookups ride along uncounted); quadNonconverged counts quadrature runs
 // that exhausted their subdivision budget (ErrMaxIter) and had their best
 // estimate silently accepted — previously invisible, now observable.
 var (

@@ -141,8 +141,8 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 		lb := lo + rng.Float64()*(hi-lo-width)
 		ub := lb + width
 		for _, yIsX := range []bool{false, true} {
-			gp, gerr := m.Partial(lb, ub, yIsX, true, true)
-			qp, qerr := q.Partial(lb, ub, yIsX, true, true)
+			gp, _, gerr := m.Partial(lb, ub, yIsX, true, true)
+			qp, _, qerr := q.Partial(lb, ub, yIsX, true, true)
 			if gerr != nil || qerr != nil {
 				t.Fatalf("partial errors: grid %v quad %v", gerr, qerr)
 			}
@@ -226,7 +226,7 @@ func TestGridCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetEvalCounters()
-	if _, err := on.Uni.Sum(20, 60); err != nil {
+	if _, err := on.Uni.Aggregate(exact.Sum, 20, 60, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	c := ReadEvalCounters()
@@ -234,7 +234,7 @@ func TestGridCounters(t *testing.T) {
 		t.Fatalf("grid-path counters = %+v, want hits > 0 and no fallbacks", c)
 	}
 	ResetEvalCounters()
-	if _, err := stripGrid(on.Uni).Sum(20, 60); err != nil {
+	if _, err := stripGrid(on.Uni).Aggregate(exact.Sum, 20, 60, false, 0); err != nil {
 		t.Fatal(err)
 	}
 	c = ReadEvalCounters()

@@ -72,22 +72,26 @@ func (m *UniModel) HasGrid() bool { return m.Grid.Valid() }
 
 // PredictRelErr predicts the relative error of aggregate af evaluated over
 // [lb, ub] on this model, from the train-time error predictor at the
-// range's selected mass fraction. 0 means unknown — the model carries no
-// fitted bounds (old catalogs, tiny samples).
+// range's selected mass fraction — the same mass eval hands the predictor
+// when it stamps an answer. 0 means unknown: the model carries no fitted
+// bounds (old catalogs, tiny samples).
 func (m *UniModel) PredictRelErr(af exact.AggFunc, lb, ub float64) float64 {
 	if !m.EB.Valid() {
 		return 0
 	}
-	return m.EB.RelErr(af, m.D.Mass(lb, ub))
+	return m.EB.RelErr(af, m.mass(m.clip(lb, ub)))
 }
 
-// mass returns ∫_lb^ub D: from the grid's cumulative-density table on the
-// grid path (so numerators and denominators of one answer come from the
-// same kernel), else the closed-form CDF.
+// mass returns ∫_lb^ub D — the only density mass the serving path reads. A
+// gridded model answers it from the cumulative-density table and never
+// consults D at query time, so COUNT, every denominator, shard partials and
+// the error predictor share one kernel. The closed-form CDF (O(bins) per
+// call) serves gridless models only, and is counted as a fallback.
 func (m *UniModel) mass(lb, ub float64) float64 {
 	if m.Grid.Valid() {
 		return m.Grid.Mass(lb, ub)
 	}
+	gridFallbacks.Add(1)
 	return m.D.Mass(lb, ub)
 }
 
@@ -104,76 +108,23 @@ func (m *UniModel) clip(lb, ub float64) (float64, float64) {
 	return lb, ub
 }
 
-// Count evaluates Eq. 1: COUNT ≈ N · ∫ D(x) dx, with the Gaussian-KDE CDF
-// in closed form (no quadrature needed).
+// Count evaluates Eq. 1: COUNT ≈ N · ∫ D(x) dx.
 func (m *UniModel) Count(lb, ub float64) float64 {
-	return m.N * m.D.Mass(lb, ub)
+	return m.N * m.mass(m.clip(lb, ub))
 }
 
-// Avg evaluates Eq. 6: AVG(y) ≈ ∫ D·R dx / ∫ D dx.
-func (m *UniModel) Avg(lb, ub float64) (float64, error) {
-	lb, ub = m.clip(lb, ub)
-	den := m.mass(lb, ub)
-	if den < 1e-12 {
-		return 0, ErrNoSupport
+// moment computes the integrand family one aggregate needs over clipped
+// bounds: ∫ x^power·D when yIsX (the density-based forms, Eqs. 2/3, where
+// the aggregated column is the predicate column itself), else ∫ D·R^power.
+func (m *UniModel) moment(yIsX bool, power int, lb, ub float64) (float64, error) {
+	if yIsX {
+		return m.momentX(power, lb, ub)
 	}
-	num, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	return num / den, nil
+	return m.integrateDR(lb, ub, power)
 }
 
-// Sum evaluates Eq. 7: SUM(y) ≈ N · ∫ D·R dx.
-func (m *UniModel) Sum(lb, ub float64) (float64, error) {
-	lb, ub = m.clip(lb, ub)
-	if m.mass(lb, ub) < 1e-12 {
-		return 0, nil // no rows selected: SUM is 0, like SQL over empty sets
-	}
-	num, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	return m.N * num, nil
-}
-
-// VarianceY evaluates Eq. 8, the regression-based VARIANCE(y):
-// E[R²] − E[R]² under the density restricted to [lb, ub].
-func (m *UniModel) VarianceY(lb, ub float64) (float64, error) {
-	lb, ub = m.clip(lb, ub)
-	den := m.mass(lb, ub)
-	if den < 1e-12 {
-		return 0, ErrNoSupport
-	}
-	m1, err := m.integrateDR(lb, ub, 1)
-	if err != nil {
-		return 0, err
-	}
-	m2, err := m.integrateDR(lb, ub, 2)
-	if err != nil {
-		return 0, err
-	}
-	ex := m1 / den
-	v := m2/den - ex*ex
-	if v < 0 {
-		v = 0
-	}
-	return v, nil
-}
-
-// StdDevY evaluates Eq. 9.
-func (m *UniModel) StdDevY(lb, ub float64) (float64, error) {
-	v, err := m.VarianceY(lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// momentX computes ∫_lb^ub x^power·D dx — the density-moment integrand
-// shared by the x-forms of AVG, VARIANCE and STDDEV and by Partial's yIsX
-// moments. Bounds must already be clipped to the support. On the grid path
-// it is two interpolated lookups; otherwise one adaptive quadrature run.
+// momentX computes ∫_lb^ub x^power·D dx. On the grid path it is two
+// interpolated lookups; otherwise one adaptive quadrature run.
 func (m *UniModel) momentX(power int, lb, ub float64) (float64, error) {
 	if g := m.Grid; g.Valid() {
 		gridHits.Add(1)
@@ -196,80 +147,20 @@ func (m *UniModel) momentX(power int, lb, ub float64) (float64, error) {
 	return res.Value, nil
 }
 
-// VarianceX evaluates Eq. 2, the density-based VARIANCE(x) over the
-// restriction of D to [lb, ub]: E[x²] − E[x]².
-func (m *UniModel) VarianceX(lb, ub float64) (float64, error) {
-	lb, ub = m.clip(lb, ub)
-	den := m.mass(lb, ub)
-	if den < 1e-12 {
-		return 0, ErrNoSupport
-	}
-	m1, err := m.momentX(1, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	m2, err := m.momentX(2, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	ex := m1 / den
-	v := m2/den - ex*ex
-	if v < 0 {
-		v = 0
-	}
-	return v, nil
-}
-
-// StdDevX evaluates Eq. 3.
-func (m *UniModel) StdDevX(lb, ub float64) (float64, error) {
-	v, err := m.VarianceX(lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
-// Percentile solves F(x) = p (Eq. 4): inverting the grid's cumulative-
-// density table when the model carries one, else by bisection over the
-// closed-form CDF. When a range predicate accompanies the percentile, the
-// quantile is taken conditionally within [lb, ub].
-func (m *UniModel) Percentile(p, lb, ub float64) (float64, error) {
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("core: percentile point %v outside [0, 1]", p)
-	}
+// quantile solves F(x) = F(lb) + p·den within the clipped range [lb, ub]
+// of mass den (Eq. 4): inverting the grid's cumulative-density table when
+// the model carries one, else by bisection over the closed-form CDF.
+func (m *UniModel) quantile(p, lb, ub, den float64) (float64, error) {
 	if g := m.Grid; g.Valid() {
-		if lb == math.Inf(-1) && ub == math.Inf(1) {
-			gridHits.Add(1)
-			return g.InvertCDF(p), nil
-		}
-		lbc, ubc := m.clip(lb, ub)
-		den := g.Mass(lbc, ubc)
-		if den < 1e-12 {
-			return 0, ErrNoSupport
-		}
 		gridHits.Add(1)
-		x := g.InvertCDF(g.CDF(lbc) + p*den)
-		return math.Min(math.Max(x, lbc), ubc), nil
+		x := g.InvertCDF(g.CDF(lb) + p*den)
+		return math.Min(math.Max(x, lb), ub), nil
 	}
 	gridFallbacks.Add(1)
-	slo, shi := m.D.Support()
-	if lb == math.Inf(-1) && ub == math.Inf(1) {
-		return m.D.Quantile(p), nil
-	}
-	lb, ub = m.clip(lb, ub)
-	den := m.D.Mass(lb, ub)
-	if den < 1e-12 {
-		return 0, ErrNoSupport
-	}
-	flb := m.D.CDF(lb)
-	target := flb + p*den
-	root, err := quadrature.Bisect(func(x float64) float64 {
+	target := m.D.CDF(lb) + p*den
+	return quadrature.Bisect(func(x float64) float64 {
 		return m.D.CDF(x) - target
-	}, math.Max(lb, slo), math.Min(ub, shi), 1e-10, 200)
-	if err != nil {
-		return 0, err
-	}
-	return root, nil
+	}, lb, ub, 1e-10, 200)
 }
 
 // integrateDR computes ∫ D(x)·R(x)^power dx over [lb, ub]. The ensemble's
@@ -310,81 +201,98 @@ func (m *UniModel) integrateDR(lb, ub float64, power int) (float64, error) {
 // first two moments of the aggregated column over the selection. The
 // triples merge exactly across shards (internal/shard): COUNT and SUM add,
 // AVG is the count-weighted mean, VARIANCE/STDDEV recombine through
-// E[y²] − E[y]². yIsX selects the density-based moments (Eqs. 2/3), where
-// the aggregated column is the predicate column itself. A range with no
-// density support returns a zero Partial with Support false, not an error:
-// one empty shard must not fail a merge its siblings can answer.
-func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) (shard.Partial, error) {
-	var p shard.Partial
-	mass := m.D.Mass(lb, ub)
-	if mass < 1e-12 {
-		return p, nil
+// E[y²] − E[y]². yIsX selects the density-based moments (Eqs. 2/3). f is
+// the selected mass fraction the partial was computed from, for the merged
+// error bound. A range with no density support returns a zero Partial with
+// Support false, not an error: one empty shard must not fail a merge its
+// siblings can answer.
+func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) (p shard.Partial, f float64, err error) {
+	lb, ub = m.clip(lb, ub)
+	f = m.mass(lb, ub)
+	if f < 1e-12 {
+		return p, f, nil
 	}
 	p.Support = true
-	p.Count = m.N * mass
-	lbc, ubc := m.clip(lb, ub)
-	moment := func(power int) (float64, error) {
-		if yIsX {
-			return m.momentX(power, lbc, ubc)
-		}
-		return m.integrateDR(lbc, ubc, power)
-	}
+	p.Count = m.N * f
 	if needSum {
-		m1, err := moment(1)
+		m1, err := m.moment(yIsX, 1, lb, ub)
 		if err != nil {
-			return p, err
+			return p, f, err
 		}
 		p.Sum = m.N * m1
 	}
 	if needSq {
-		m2, err := moment(2)
+		m2, err := m.moment(yIsX, 2, lb, ub)
 		if err != nil {
-			return p, err
+			return p, f, err
 		}
 		p.SumSq = m.N * m2
 	}
-	return p, nil
+	return p, f, nil
 }
 
 // Aggregate dispatches an aggregate-function evaluation on this model.
-// yIsX selects the density-based forms of VARIANCE/STDDEV (Eq. 2/3), used
-// when the aggregated column is the predicate column itself.
+// yIsX selects the density-based forms of AVG/VARIANCE/STDDEV (Eqs. 2/3),
+// used when the aggregated column is the predicate column itself.
 func (m *UniModel) Aggregate(af exact.AggFunc, lb, ub float64, yIsX bool, p float64) (float64, error) {
-	switch af {
-	case exact.Count:
-		return m.Count(lb, ub), nil
-	case exact.Sum:
-		return m.Sum(lb, ub)
-	case exact.Avg:
-		if yIsX {
-			// AVG over the predicate column: E[x] under D restricted.
-			lbc, ubc := m.clip(lb, ub)
-			den := m.mass(lbc, ubc)
-			if den < 1e-12 {
-				return 0, ErrNoSupport
-			}
-			m1, err := m.momentX(1, lbc, ubc)
-			if err != nil {
-				return 0, err
-			}
-			return m1 / den, nil
-		}
-		return m.Avg(lb, ub)
-	case exact.Variance:
-		if yIsX {
-			return m.VarianceX(lb, ub)
-		}
-		return m.VarianceY(lb, ub)
-	case exact.StdDev:
-		if yIsX {
-			return m.StdDevX(lb, ub)
-		}
-		return m.StdDevY(lb, ub)
-	case exact.Percentile:
-		return m.Percentile(p, lb, ub)
-	default:
-		return 0, fmt.Errorf("core: unsupported aggregate %v", af)
+	v, _, err := m.eval(af, lb, ub, yIsX, p)
+	return v, err
+}
+
+// eval is the evaluation kernel behind every aggregate (Eqs. 1–9): it clips
+// the range, reads the selected mass f = ∫D once, and derives the answer
+// from f and the moment integrals. f is returned alongside the value so the
+// error-bound stamp reuses it instead of integrating the density again.
+func (m *UniModel) eval(af exact.AggFunc, lb, ub float64, yIsX bool, p float64) (v, f float64, err error) {
+	if af == exact.Percentile && (p < 0 || p > 1) {
+		return 0, 0, fmt.Errorf("core: percentile point %v outside [0, 1]", p)
 	}
+	lb, ub = m.clip(lb, ub)
+	f = m.mass(lb, ub)
+	if af == exact.Count { // Eq. 1
+		return m.N * f, f, nil
+	}
+	if f < 1e-12 {
+		if af == exact.Sum {
+			return 0, f, nil // no rows selected: SUM is 0, like SQL over empty sets
+		}
+		return 0, f, ErrNoSupport
+	}
+	switch af {
+	case exact.Sum: // Eq. 7; R was fitted on the aggregated column even when it is x
+		v, err = m.integrateDR(lb, ub, 1)
+		v *= m.N
+	case exact.Avg: // Eq. 6, or E[x] under D restricted
+		v, err = m.moment(yIsX, 1, lb, ub)
+		v /= f
+	case exact.Variance, exact.StdDev: // Eqs. 2/8, 3/9
+		if v, err = m.variance(yIsX, lb, ub, f); af == exact.StdDev {
+			v = math.Sqrt(v)
+		}
+	case exact.Percentile: // Eq. 4
+		v, err = m.quantile(p, lb, ub, f)
+	default:
+		err = fmt.Errorf("core: unsupported aggregate %v", af)
+	}
+	if err != nil {
+		return 0, f, err
+	}
+	return v, f, nil
+}
+
+// variance evaluates E[y²] − E[y]² under the density restricted to the
+// clipped range [lb, ub] of mass f.
+func (m *UniModel) variance(yIsX bool, lb, ub, f float64) (float64, error) {
+	m1, err := m.moment(yIsX, 1, lb, ub)
+	if err != nil {
+		return 0, err
+	}
+	m2, err := m.moment(yIsX, 2, lb, ub)
+	if err != nil {
+		return 0, err
+	}
+	ex := m1 / f
+	return math.Max(m2/f-ex*ex, 0), nil
 }
 
 // SizeBytes reports the gob-serialized size of the model — the paper's

@@ -35,17 +35,21 @@ type Answer struct {
 	PredRelErr float64
 }
 
-// stampBounds fills a's CI and predicted relative error for a scalar answer
-// evaluated on m over [lb, ub]. Answers from models without a fitted
-// predictor keep zero bounds.
-func (a *Answer) stampBounds(m *UniModel, af exact.AggFunc, lb, ub float64) {
-	re := m.PredictRelErr(af, lb, ub)
-	if re <= 0 {
-		return
+// answer evaluates af on m over [lb, ub] and stamps the CI and predicted
+// relative error from the mass fraction the evaluation itself computed.
+// Answers from models without a fitted predictor keep zero bounds.
+func (m *UniModel) answer(af exact.AggFunc, lb, ub float64, yIsX bool, p float64) (*Answer, error) {
+	v, f, err := m.eval(af, lb, ub, yIsX, p)
+	if err != nil {
+		return nil, err
 	}
-	a.PredRelErr = re
-	h := math.Abs(a.Value) * re
-	a.CI = [2]float64{a.Value - h, a.Value + h}
+	a := &Answer{Value: v}
+	if re := m.EB.RelErr(af, f); re > 0 {
+		a.PredRelErr = re
+		h := math.Abs(v) * re
+		a.CI = [2]float64{v - h, v + h}
+	}
+	return a, nil
 }
 
 // SortGroupAnswers orders a GROUP BY result by group value — the one
@@ -74,13 +78,7 @@ func (ms *ModelSet) EvaluateUni(af exact.AggFunc, lb, ub float64, yIsX bool, opt
 	if ms.Uni == nil {
 		return nil, fmt.Errorf("core: model set %s has no univariate model", ms.Key())
 	}
-	v, err := ms.Uni.Aggregate(af, lb, ub, yIsX, o.P)
-	if err != nil {
-		return nil, err
-	}
-	ans := &Answer{Value: v}
-	ans.stampBounds(ms.Uni, af, lb, ub)
-	return ans, nil
+	return ms.Uni.answer(af, lb, ub, yIsX, o.P)
 }
 
 // EvaluateMulti answers AF over a multivariate box predicate.
@@ -176,9 +174,9 @@ func (ms *ModelSet) evaluateGroup(g int64, af exact.AggFunc, lb, ub float64, yIs
 		}
 	}()
 	if m, ok := ms.Groups[g]; ok {
-		v, err = m.Aggregate(af, lb, ub, yIsX, p)
-		if err == nil {
-			re = m.PredictRelErr(af, lb, ub)
+		var f float64
+		if v, f, err = m.eval(af, lb, ub, yIsX, p); err == nil {
+			re = m.EB.RelErr(af, f)
 		}
 		return v, re, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"dbest/internal/exact"
@@ -61,6 +62,15 @@ func TrainNominalContext(ctx context.Context, tb *table.Table, xcol, ycol, nomin
 		vss = append(vss, vsample{v, xs, ys})
 		ms.Stats.SampleRows += len(idx)
 	}
+	// Map iteration order is random and the per-value seeds below follow
+	// vss order: fix it (most populous value first) so the same seed trains
+	// the same models.
+	sort.Slice(vss, func(i, j int) bool {
+		if ci, cj := counts[vss[i].v], counts[vss[j].v]; ci != cj {
+			return ci > cj
+		}
+		return vss[i].v < vss[j].v
+	})
 	ms.Stats.SampleTime = time.Since(t0)
 
 	t1 := time.Now()
@@ -94,13 +104,7 @@ func (ms *ModelSet) EvaluateNominal(af exact.AggFunc, value string, lb, ub float
 		o = *opts
 	}
 	if m, ok := ms.Nominal[value]; ok {
-		v, err := m.Aggregate(af, lb, ub, yIsX, o.P)
-		if err != nil {
-			return nil, err
-		}
-		ans := &Answer{Value: v}
-		ans.stampBounds(m, af, lb, ub)
-		return ans, nil
+		return m.answer(af, lb, ub, yIsX, o.P)
 	}
 	if rg, ok := ms.NominalRaw[value]; ok {
 		v, err := rg.aggregate(af, lb, ub, yIsX, o.P, ms.NominalRows[value])

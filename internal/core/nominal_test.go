@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -102,5 +104,32 @@ func TestNominalCountScalesWithScale(t *testing.T) {
 	}
 	if math.Abs(ans.Value-500_000)/500_000 > 0.02 {
 		t.Fatalf("scaled nominal COUNT = %v, want ≈ 500000", ans.Value)
+	}
+}
+
+// TestTrainNominalDeterministic: the per-value models are seeded by their
+// position in a fixed value order, not by map iteration order, so the same
+// seed trains byte-identical model sets (it used to pick among len(values)
+// seeds per value, which showed up as flapping EXPLAIN bounds= tags).
+func TestTrainNominalDeterministic(t *testing.T) {
+	tb := nominalTable()
+	encode := func() []byte {
+		ms, err := TrainNominal(tb, "x", "y", "ch", &TrainConfig{SampleSize: 300, Seed: 5, MinGroupModel: 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		for _, v := range []string{"a", "b"} { // gob writes maps in iteration order
+			if err := gob.NewEncoder(&buf).Encode(ms.Nominal[v]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	want := encode()
+	for i := 0; i < 5; i++ {
+		if !bytes.Equal(encode(), want) {
+			t.Fatalf("training %d produced different nominal models from the same seed", i+2)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func TestShardedPartialsMergeToUnshardedAnswer(t *testing.T) {
 	lb, ub := 200.0, 1400.0
 	ps := make([]shard.Partial, 0, len(sets))
 	for _, ms := range sets {
-		p, err := ms.Uni.Partial(lb, ub, false, true, true)
+		p, _, err := ms.Uni.Partial(lb, ub, false, true, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestShardedPartialsMergeToUnshardedAnswer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSD, err := uni.Uni.StdDevY(lb, ub)
+	wantSD, err := uni.Uni.Aggregate(exact.StdDev, lb, ub, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,9 +111,13 @@ func (s *ShardMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 	needSum := s.AF != exact.Count
 	needSq := s.AF == exact.Variance || s.AF == exact.StdDev
 	partials := make([]shard.Partial, len(idx))
+	res := make([]float64, len(idx)) // per-shard predicted relative error
 	errs := make([]error, len(idx))
 	parallel.ForEach(len(idx), env.Workers, func(k int) {
-		partials[k], errs[k] = s.Sets[idx[k]].Uni.Partial(lb, ub, s.YIsX, needSum, needSq)
+		m := s.Sets[idx[k]].Uni
+		var f float64
+		partials[k], f, errs[k] = m.Partial(lb, ub, s.YIsX, needSum, needSq)
+		res[k] = m.EB.RelErr(s.AF, f)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -124,7 +128,7 @@ func (s *ShardMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 	if !ok {
 		return AggregateResult{}, wrapEmptyRegion(s.AggName, core.ErrNoSupport)
 	}
-	return stampAgg(s.AggName, v, s.mergeRelErr(lb, ub, idx, partials)), nil
+	return stampAgg(s.AggName, v, mergeRelErr(s.AF, partials, res)), nil
 }
 
 // stampAgg builds the aggregate result, attaching the CI implied by the
@@ -139,7 +143,8 @@ func stampAgg(name string, v, re float64) AggregateResult {
 	return ar
 }
 
-// mergeRelErr combines the overlapping shards' predicted relative errors
+// mergeRelErr combines the overlapping shards' predicted relative errors res
+// — each taken at the mass fraction its shard's Partial was computed from —
 // into one bound for the merged answer, through the same moment structure
 // mergePartials uses. Treating shard errors as independent, additive
 // aggregates combine in quadrature on their absolute errors:
@@ -150,15 +155,13 @@ func stampAgg(name string, v, re float64) AggregateResult {
 // AVG is the count-weighted mean of the members' relative errors, and
 // VARIANCE/STDDEV conservatively take the worst member. Any member without
 // a fitted predictor makes the merged bound unknown (0).
-func (s *ShardMerge) mergeRelErr(lb, ub float64, idx []int, ps []shard.Partial) float64 {
-	res := make([]float64, len(idx))
-	for k, i := range idx {
-		res[k] = s.Sets[i].Uni.PredictRelErr(s.AF, lb, ub)
-		if res[k] <= 0 {
+func mergeRelErr(af exact.AggFunc, ps []shard.Partial, res []float64) float64 {
+	for _, re := range res {
+		if re <= 0 {
 			return 0
 		}
 	}
-	switch s.AF {
+	switch af {
 	case exact.Count:
 		var sq, tot float64
 		for k, p := range ps {
@@ -223,16 +226,26 @@ func mergePartials(af exact.AggFunc, ps []shard.Partial) (float64, bool) {
 // percentile answers PERCENTILE(x, p) over the merged ensemble: the
 // combined selected mass Σᵢ Nᵢ·Dᵢ([lb, x]) is a proper CDF over the
 // selection, and bisecting it finds the pooled quantile without any shard
-// knowing about its siblings.
+// knowing about its siblings. Each step reads the shards' grid CDFs (two
+// table lookups a shard), not their O(bins) closed-form sums.
 func (s *ShardMerge) percentile(lb, ub float64, idx []int) (float64, error) {
 	if s.P < 0 || s.P > 1 {
 		return 0, fmt.Errorf("core: percentile point %v outside [0, 1]", s.P)
 	}
-	// Bracket the bisection with the overlapping shards' union support so
-	// an unbounded predicate still searches a finite interval.
+	// Keep the shards with density support in the range (the empty-selection
+	// rule every other aggregate applies) and bracket the bisection with
+	// their union support, so an unbounded predicate still searches a finite
+	// interval.
 	lo, hi := math.Inf(1), math.Inf(-1)
+	var live []*core.UniModel
 	for _, k := range idx {
-		slo, shi := s.Sets[k].Uni.D.Support()
+		m := s.Sets[k].Uni
+		// Count-only partial: no moment integral runs, so it cannot fail.
+		if part, _, _ := m.Partial(lb, ub, false, false, false); !part.Support {
+			continue
+		}
+		live = append(live, m)
+		slo, shi := m.D.Support()
 		lo = math.Min(lo, slo)
 		hi = math.Max(hi, shi)
 	}
@@ -243,9 +256,8 @@ func (s *ShardMerge) percentile(lb, ub float64, idx []int) (float64, error) {
 	}
 	massLE := func(x float64) float64 {
 		t := 0.0
-		for _, k := range idx {
-			m := s.Sets[k].Uni
-			t += m.N * m.D.Mass(lb, x)
+		for _, m := range live {
+			t += m.Count(lb, x)
 		}
 		return t
 	}
