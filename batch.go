@@ -1,7 +1,9 @@
 package dbest
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"dbest/internal/core"
@@ -21,107 +23,96 @@ type BatchResult struct {
 	Err    error
 }
 
-// Span re-exports the executor's range-parameter binding used by
-// PreparedQuery.RunBatch: replacement [Lb, Ub] bounds for the query's
-// range predicate.
-type Span = exec.Span
+// Span is one range-parameter binding for PreparedQuery.RunBatch:
+// replacement [Lb, Ub] bounds for the query's range predicate.
+type Span struct {
+	Lb, Ub float64
+}
 
-// QueryBatch answers many SQL queries in one call. Each distinct normalized
-// query shape is parsed, planned and executed exactly once — even with the
-// plan cache disabled — with the distinct shapes fanning out over the
-// engine's worker budget; duplicate instances then share that shape's
-// answer, so a batch of N same-shape queries costs one execution, not N.
-// The whole batch binds one engine snapshot: every shape sees the same
-// catalog generation and the same table versions, so a batch is a
-// consistent point-in-time read even while trains and appends land
-// concurrently. Results are returned in input order with per-query error
-// isolation: a malformed or unanswerable shape fails its own instances and
-// nothing else.
+// QueryBatch answers many SQL queries in one call. Each distinct statement —
+// same shape, same literals, however it is spelled — is executed exactly
+// once, with the distinct statements fanning out over the engine's worker
+// budget; duplicate instances then share that answer, so a batch of N
+// identical queries costs one execution, not N (what that saves is an
+// exact-path duplicate's table scan; statements that differ only in literals
+// still share one plan through the plan cache). The whole batch binds one
+// engine snapshot: every statement sees the same catalog generation and the
+// same table versions, so a batch is a consistent point-in-time read even
+// while trains and appends land concurrently. Results are returned in input
+// order with per-query error isolation: a malformed or unanswerable
+// statement fails its own instances and nothing else.
 func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 	out := make([]BatchResult, len(sqls))
 	snap := e.snap.Load()
-	type planned struct {
-		p       *PreparedQuery
-		ent     *cacheEntry
+	type stmt struct {
+		sh      *shape
+		binds   exec.Binds
 		err     error
 		res     *Result
-		elapsed time.Duration // this shape's execution (or memo-lookup) time
-		memo    bool          // res is the cache's canonical copy; every instance clones
+		elapsed time.Duration // this statement's execution time
 		served  bool
 	}
-	keys := make([]string, len(sqls))
-	plans := make(map[string]*planned, len(sqls))
-	order := make([]*planned, 0, len(sqls)) // distinct shapes, first-seen order
+	stmts := make([]*stmt, len(sqls))         // per input
+	distinct := make([]*stmt, 0, len(sqls))   // first-seen order
+	seen := make(map[string]*stmt, len(sqls)) // by shape key + binds
+	var id []byte                             // reused key buffer
 	for i, sql := range sqls {
 		out[i].SQL = sql
-		k := sqlparse.Normalize(sql)
-		keys[i] = k
-		if _, ok := plans[k]; !ok {
-			pl := &planned{}
-			if e.plans.enabled() {
-				pl.p, pl.ent, pl.err = e.prepareSnap(k, sql, snap)
-			} else {
-				var q *sqlparse.Query
-				q, pl.err = sqlparse.Parse(sql)
-				if pl.err == nil {
-					pl.p, pl.err = e.planSnap(q, snap)
-				}
-			}
-			plans[k] = pl
-			order = append(order, pl)
-		}
-	}
-	// Execute each distinct shape once, in parallel across shapes. Shapes
-	// whose result is already memoized for this generation skip execution
-	// entirely.
-	parallel.ForEach(len(order), e.workers, func(i int) {
-		pl := order[i]
-		if pl.err != nil {
-			return
-		}
-		// Each shape stamps its own execution time: batch items must report
-		// what their shape cost, not share one whole-batch elapsed (or, as
-		// before this existed, report zero).
-		t0 := time.Now()
-		defer func() { pl.elapsed = time.Since(t0) }()
-		if pl.ent != nil {
-			if r := pl.ent.res.Load(); r != nil {
-				pl.res, pl.memo = r, true
-				return
-			}
-		}
-		pl.res, pl.err = pl.p.runWith(snap)
-		if pl.err == nil && pl.ent != nil &&
-			pl.p.plan.Path != PathExact && pl.p.plan.Path != PathSketch && !pl.p.hasTol {
-			// Same memoization rule as serveNormalized: exact and sketch
-			// answers track the live tables, and tolerance-routed answers
-			// track the calibration rings, so only plain model-path results
-			// are deterministic per catalog generation.
-			pl.ent.res.CompareAndSwap(nil, pl.res)
-			pl.memo = true
-		}
-	})
-	// Fan the shared answers out to every instance of each shape. Instances
-	// get deep copies so callers may mutate one result without corrupting
-	// another (or the cache's memoized copy); only a non-memoized shape may
-	// hand its first instance the original.
-	for i := range sqls {
-		pl := plans[keys[i]]
-		if pl.err != nil {
-			out[i].Err = pl.err
+		key, binds, err := sqlparse.Shape(id[:0], nil, sql)
+		if err != nil {
+			stmts[i] = &stmt{err: err} // unlexable: nothing to share
 			continue
 		}
-		if !pl.served && !pl.memo {
-			out[i].Result = pl.res
-			pl.served = true
-		} else {
-			out[i].Result = cloneResult(pl.res)
+		id = appendBinds(key, binds)
+		st := seen[string(id)]
+		if st == nil {
+			st = &stmt{binds: binds}
+			st.sh, st.err = e.resolve(snap, key, sql, nil)
+			seen[string(id)] = st
+			distinct = append(distinct, st)
 		}
-		// Stamp after cloning: the memoized canonical copy must stay
-		// untouched, and a later batch hitting it re-stamps its own time.
-		out[i].Result.Elapsed = pl.elapsed
+		stmts[i] = st
+	}
+	parallel.ForEach(len(distinct), e.workers, func(i int) {
+		st := distinct[i]
+		if st.err != nil {
+			return
+		}
+		// Each statement stamps its own execution time: batch items must
+		// report what their statement cost, not share one whole-batch
+		// elapsed.
+		t0 := time.Now()
+		st.res, st.err = e.serve(snap, st.sh, st.binds, nil)
+		st.elapsed = time.Since(t0)
+	})
+	// Fan the shared answers out to every instance. Duplicates get deep
+	// copies so callers may mutate one result without corrupting another.
+	for i, st := range stmts {
+		if st.err != nil {
+			out[i].Err = st.err
+			continue
+		}
+		out[i].Result = st.res
+		if st.served {
+			out[i].Result = cloneResult(st.res)
+		}
+		st.served = true
+		out[i].Result.Elapsed = st.elapsed
 	}
 	return out
+}
+
+// appendBinds appends a bind vector's values to a shape key, making the
+// identity of one statement: the key fixes how many binds follow and of
+// which kind, and each is self-delimiting, so two different statements
+// cannot render alike.
+func appendBinds(key []byte, binds exec.Binds) []byte {
+	for _, b := range binds {
+		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(b.Num))
+		key = binary.AppendUvarint(key, uint64(len(b.Str)))
+		key = append(key, b.Str...)
+	}
+	return key
 }
 
 // cloneResult deep-copies a Result so batch duplicates do not alias the
@@ -138,34 +129,36 @@ func cloneResult(r *Result) *Result {
 }
 
 // RunBatch executes the prepared query once per span, substituting each
-// span for the query's single range predicate — the parameter-varied form
-// of batched execution: parse and plan once, run for many ranges in
-// parallel. The query must have exactly one range predicate. Results are
-// returned in span order with per-execution error isolation.
+// span for the query's single range predicate: one plan, run for many
+// ranges in parallel. (It predates bind vectors, which now give every
+// statement this treatment: Engine.Query of the spelled-out statements
+// shares the same plan and returns the same answers.) The query must have
+// exactly one range predicate. Results are returned in span order with
+// per-execution error isolation.
 func (p *PreparedQuery) RunBatch(spans []Span) ([]BatchResult, error) {
-	if len(p.query.Where) != 1 {
-		return nil, fmt.Errorf("dbest: RunBatch needs a query with exactly one range predicate, got %d", len(p.query.Where))
+	where := p.sh.query.Where
+	if len(where) != 1 {
+		return nil, fmt.Errorf("dbest: RunBatch needs a query with exactly one range predicate, got %d", len(where))
 	}
 	// Materialize the exact-path source (base table or equi-join) once for
 	// the whole batch instead of once per span, against one engine snapshot.
-	baseEnv := exec.Env{Workers: p.eng.workers, Tables: p.eng.snap.Load(), Shards: &p.eng.shardCtrs}
-	src, err := p.plan.OpenSource(&baseEnv)
+	snap := p.eng.snap.Load()
+	src, err := p.sh.plan.OpenSource(&exec.Env{Tables: snap})
 	if err != nil {
 		return nil, err
 	}
-	baseEnv.Src = src
 	out := make([]BatchResult, len(spans))
 	parallel.ForEach(len(spans), p.eng.workers, func(i int) {
-		span := spans[i]
-		env := baseEnv
-		env.Span = &span
+		binds := append(exec.Binds(nil), p.binds...)
+		binds[where[0].LbSlot].Num, binds[where[0].UbSlot].Num = spans[i].Lb, spans[i].Ub
 		t0 := time.Now()
-		er, err := p.plan.Run(&env)
+		res, err := p.eng.serve(snap, p.sh, binds, src)
 		if err != nil {
 			out[i].Err = err
 			return
 		}
-		out[i].Result = &Result{Aggregates: er.Aggregates, Source: er.Source, Elapsed: time.Since(t0)}
+		res.Elapsed = time.Since(t0)
+		out[i].Result = res
 	})
 	return out, nil
 }

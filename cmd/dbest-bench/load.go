@@ -43,10 +43,10 @@ type loadConfig struct {
 	DistinctRatio float64 `json:"distinct_ratio"`
 	DurationSec   float64 `json:"duration_sec"`
 	Seed          int64   `json:"seed"`
-	// UniqueSpans jitters every issued query's [lb, ub], so each query is
-	// a distinct shape: the plan cache never hits and every evaluation
-	// pays the cold model-integration path — the regime that separates
-	// the grid kernel from per-query quadrature.
+	// UniqueSpans jitters every issued query's [lb, ub], so each query
+	// carries literals never seen before: its shape hits the plan cache,
+	// and its evaluation integrates the model over a fresh range — the
+	// regime that separates the grid kernel from per-query quadrature.
 	UniqueSpans bool `json:"unique_spans"`
 	// GridKnots is the evaluation-grid budget the serving model trains
 	// with (0 default, -1 off) — the A/B lever for kernel comparisons.
@@ -117,7 +117,7 @@ func runLoad(args []string) {
 		dur     = fs.Duration("dur", 5*time.Second, "measured duration per worker level")
 		warmup  = fs.Duration("warmup", 500*time.Millisecond, "warmup before each measured run")
 		seed    = fs.Int64("seed", 1, "deterministic RNG seed")
-		unique  = fs.Bool("unique-spans", false, "jitter every query's range so no two queries share a shape (cold-path kernel benchmark)")
+		unique  = fs.Bool("unique-spans", false, "jitter every query's range so no two queries share their literals (model-evaluation kernel benchmark)")
 		grid    = fs.Int("grid", 0, "evaluation-grid knot budget for the serving model (0 default, -1 off)")
 		tol     = fs.Float64("tolerance", 0, "WITHIN error budget in percent appended to every query (0 = off; exercises the model/exact router)")
 		out     = fs.String("out", "", "also write the JSON report to this file")
@@ -321,7 +321,7 @@ func columnDomain(tb *table.Table, col string) (lo, hi float64, err error) {
 // which every worker issues zipf-picked queries (and the configured fraction
 // of ingest batches) in a closed loop. Under UniqueSpans the zipf pick only
 // selects the aggregate/width template; the span itself is re-jittered per
-// issued query, so every statement is a cold shape.
+// issued query, so every statement evaluates a range of its own.
 func sweepLevel(eng *dbest.Engine, tbl string, qs []workload.Query, sqls, sketchSQLs []string,
 	xlo, xhi float64, ingestRows [][]interface{},
 	cfg loadConfig, workers int, dur, warmup time.Duration) loadRun {
@@ -341,9 +341,7 @@ func sweepLevel(eng *dbest.Engine, tbl string, qs []workload.Query, sqls, sketch
 				o := &outs[w]
 				seed := cfg.Seed + int64(w)*7919 + boolInt64(measure)
 				if cfg.UniqueSpans {
-					// Levels must not replay each other's span sequences:
-					// a repeated span would hit the plan and result caches
-					// and stop being a cold evaluation.
+					// Levels must not replay each other's span sequences.
 					seed += int64(workers) * 104729
 				}
 				rng := rand.New(rand.NewSource(seed))

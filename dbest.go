@@ -509,55 +509,39 @@ type Result struct {
 // falls through to the exact engine over the registered base tables, per
 // the architecture of Fig. 1. The whole call serves against one engine
 // snapshot (a consistent catalog + tables view), without taking any lock.
-// Plans are cached by normalized SQL, so a repeated query shape skips the
-// parser and the catalog scan entirely; model-path shapes additionally
-// memoize their result per catalog generation — model answers are
-// deterministic until a retrain publishes a new generation — so a hot
-// cached shape costs one normalization and two atomic loads.
+// Plans are cached by query shape — the statement with its literals lifted
+// out in one lexer pass — so a statement whose shape was seen before skips
+// the parser and the catalog scan whatever its literals are, and costs the
+// lexer pass, one map probe and the model evaluation.
 func (e *Engine) Query(sql string) (*Result, error) {
 	t0 := time.Now()
-	var (
-		res *Result
-		err error
-	)
-	if e.plans.enabled() {
-		res, err = e.serveNormalized(sqlparse.Normalize(sql), sql)
-	} else {
-		res, err = e.serveUncached(sql)
-	}
+	var kb [shapeKeyBuf]byte
+	key, binds, err := sqlparse.Shape(kb[:0], make(exec.Binds, 0, usualBinds), sql)
 	if err != nil {
 		return nil, err
 	}
-	res.Elapsed = time.Since(t0)
-	return res, nil
+	return e.answer(t0, key, sql, nil, binds)
 }
 
-// serveUncached answers sql with the plan cache disabled: parse, plan and
-// run against one snapshot.
-func (e *Engine) serveUncached(sql string) (*Result, error) {
-	snap := e.snap.Load()
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	p, err := e.planSnap(q, snap)
-	if err != nil {
-		return nil, err
-	}
-	return p.runWith(snap)
-}
-
-// Run plans and answers a pre-parsed query, bypassing the plan cache. It is
-// a thin shim over the physical execution layer: plan once, run once, both
-// against one snapshot.
+// Run plans and answers a pre-parsed query, bypassing the plan cache: plan
+// once, run once, both against one snapshot. The query's literals are read
+// from its value fields (its slots, if it has any, are reassigned).
 func (e *Engine) Run(q *sqlparse.Query) (*Result, error) {
 	t0 := time.Now()
+	lifted, binds := q.Lift()
+	return e.answer(t0, nil, "", lifted, binds)
+}
+
+// answer resolves one statement (resolve's arguments) and serves it with
+// binds, both against the snapshot current at the call, and stamps the
+// result with the time since t0.
+func (e *Engine) answer(t0 time.Time, key []byte, sql string, q *sqlparse.Query, binds exec.Binds) (*Result, error) {
 	snap := e.snap.Load()
-	p, err := e.planSnap(q, snap)
+	sh, err := e.resolve(snap, key, sql, q)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.runWith(snap)
+	res, err := e.serve(snap, sh, binds, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -6,15 +6,23 @@
 // immutable after construction and safe for concurrent Run calls, which is
 // what the engine's plan cache and the batched query API rely on: one
 // parse/plan amortized over many executions.
+//
+// A plan is compiled for a query shape, not for one statement: operators
+// hold the bind slots of the statement's literals (Range, and plain slot
+// numbers for PERCENTILE points and equality values), and every execution —
+// and every EXPLAIN rendering — reads the literals of its own statement from
+// the bind vector it is handed.
 package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
 	"dbest/internal/core"
 	"dbest/internal/sketch"
+	"dbest/internal/sqlparse"
 	"dbest/internal/table"
 )
 
@@ -33,10 +41,11 @@ const (
 type Node interface {
 	// Operator is the operator name, e.g. "ModelEval".
 	Operator() string
-	// Detail is the one-line operator description shown in EXPLAIN.
-	Detail() string
+	// Detail is the one-line operator description shown in EXPLAIN, with
+	// the literals of the statement whose bind vector is b.
+	Detail(b Binds) string
 	// Children returns the operator's child nodes in plan order.
-	Children() []Node
+	Children(b Binds) []Node
 }
 
 // AggOperator is an operator that answers one select-list aggregate. src is
@@ -63,10 +72,36 @@ type TableResolver interface {
 	Table(name string) *table.Table
 }
 
-// Span is one range-parameter binding: replacement bounds for a plan's
-// single range predicate (PreparedQuery.RunBatch).
-type Span struct {
-	Lb, Ub float64
+// Binds is a statement's bind vector: the literals sqlparse.Shape lifted out
+// of it, addressed by slot.
+type Binds = []sqlparse.Bind
+
+// Range names the bind slots holding one BETWEEN predicate's bounds.
+type Range struct {
+	Lb, Ub int
+}
+
+// Whole is the range of a predicate-free aggregate: the whole domain, read
+// from no slot.
+var Whole = Range{Lb: -1, Ub: -1}
+
+// NoSlot is the slot number of a literal the statement does not have (the
+// PERCENTILE point of any other aggregate).
+const NoSlot = -1
+
+func (r Range) bounds(b Binds) (lb, ub float64) {
+	if r == Whole {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return b[r.Lb].Num, b[r.Ub].Num
+}
+
+// point reads a PERCENTILE point from its slot (0 for NoSlot).
+func point(b Binds, slot int) float64 {
+	if slot == NoSlot {
+		return 0
+	}
+	return b[slot].Num
 }
 
 // ShardCounters accumulates shard-pruning statistics across executions:
@@ -82,15 +117,15 @@ type ShardCounters struct {
 // Env carries per-execution state through the operator tree. Operators
 // never mutate it (the shared Shards counters are atomic); the engine
 // builds one per execution so concurrent Runs of the same plan can carry
-// different Span bindings.
+// different bind vectors.
 type Env struct {
 	// Workers bounds parallel per-group model evaluation (0 = GOMAXPROCS).
 	Workers int
 	// Tables resolves base tables for exact-path scans.
 	Tables TableResolver
-	// Span, when non-nil, overrides the bounds of the plan's single range
-	// predicate for this execution.
-	Span *Span
+	// Binds is the executing statement's bind vector: the literals the
+	// plan's operators address by slot.
+	Binds Binds
 	// Src, when non-nil, is a pre-materialized exact-path source table,
 	// shared by callers that execute one plan many times (see
 	// Plan.OpenSource); model-path plans ignore it.
@@ -139,11 +174,8 @@ func NewPlan(path, reason string, root *Project) *Plan {
 // Root returns the plan's root operator.
 func (p *Plan) Root() Node { return p.root }
 
-// Run executes the plan once. env may be nil for model-only plans.
+// Run executes the plan once with the bind vector in env.
 func (p *Plan) Run(env *Env) (*Result, error) {
-	if env == nil {
-		env = &Env{}
-	}
 	return p.root.eval(env)
 }
 
@@ -200,27 +232,31 @@ func boundModelSet(n Node) *core.ModelSet {
 //	└── GroupMerge AVG(y) key=gt|x|y|g groups=5
 //	    ├── ModelEval per-group models=3
 //	    └── RawGroupEval raw groups=2
-func (p *Plan) Render() string {
+//
+// binds is the bind vector of the statement being explained: ranges, shard
+// counts and bounds tags show its literals, whichever statement of the shape
+// the plan was compiled from.
+func (p *Plan) Render(binds Binds) string {
 	var b strings.Builder
-	writeNode(&b, p.root, "", "")
+	writeNode(&b, p.root, binds, "", "")
 	return b.String()
 }
 
-func writeNode(b *strings.Builder, n Node, head, indent string) {
+func writeNode(b *strings.Builder, n Node, binds Binds, head, indent string) {
 	b.WriteString(head)
 	b.WriteString(n.Operator())
-	if d := n.Detail(); d != "" {
+	if d := n.Detail(binds); d != "" {
 		b.WriteByte(' ')
 		b.WriteString(d)
 	}
 	b.WriteByte('\n')
-	kids := n.Children()
+	kids := n.Children(binds)
 	for i, k := range kids {
 		branch, extend := "├── ", "│   "
 		if i == len(kids)-1 {
 			branch, extend = "└── ", "    "
 		}
-		writeNode(b, k, indent+branch, indent+extend)
+		writeNode(b, k, binds, indent+branch, indent+extend)
 	}
 }
 
@@ -235,13 +271,14 @@ func boundsTag(re float64) string {
 }
 
 // rangeString formats predicate bounds for EXPLAIN details.
-func rangeString(lb, ub []float64) string {
+func rangeString(binds Binds, ranges ...Range) string {
 	var b strings.Builder
-	for i := range lb {
+	for i, r := range ranges {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "[%g,%g]", lb[i], ub[i])
+		lb, ub := r.bounds(binds)
+		fmt.Fprintf(&b, "[%g,%g]", lb, ub)
 	}
 	return b.String()
 }

@@ -44,10 +44,11 @@ func trainLinear(t *testing.T, tb *table.Table) *core.ModelSet {
 func TestModelPlanRun(t *testing.T) {
 	tb := linearTable(t, 20000)
 	ms := trainLinear(t, tb)
-	op := NewModelEval("AVG(y)", exact.Avg, ms, []float64{5000}, []float64{10000}, false, 0)
+	op := NewModelEval("AVG(y)", exact.Avg, ms, []Range{{Lb: 0, Ub: 1}}, false, NoSlot)
 	plan := NewPlan(PathModel, "", NewProject(PathModel, []AggOperator{op}, nil))
+	binds := Binds{{Num: 5000}, {Num: 10000}}
 
-	res, err := plan.Run(nil)
+	res, err := plan.Run(&Env{Binds: binds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestModelPlanRun(t *testing.T) {
 	if keys := plan.ModelKeys(); len(keys) != 1 || keys[0] != ms.Key() {
 		t.Fatalf("model keys = %v", keys)
 	}
-	tree := plan.Render()
+	tree := plan.Render(binds)
 	for _, want := range []string{"Project [model]", "ModelEval AVG(y)", "range=[5000,10000]"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)
@@ -69,19 +70,22 @@ func TestModelPlanRun(t *testing.T) {
 	}
 }
 
+// TestModelPlanSpanOverride: one plan answers each execution over the span
+// in that execution's bind vector.
 func TestModelPlanSpanOverride(t *testing.T) {
 	tb := linearTable(t, 20000)
 	ms := trainLinear(t, tb)
-	op := NewModelEval("COUNT(y)", exact.Count, ms, []float64{0}, []float64{1000}, false, 0)
+	op := NewModelEval("COUNT(y)", exact.Count, ms, []Range{{Lb: 0, Ub: 1}}, false, NoSlot)
 	plan := NewPlan(PathModel, "", NewProject(PathModel, []AggOperator{op}, nil))
 
-	res, err := plan.Run(&Env{Span: &Span{Lb: 0, Ub: 9999}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The override widens the predicate to half the table: ≈ 10000 rows.
-	if got := res.Aggregates[0].Value; math.Abs(got-10000) > 1200 {
-		t.Fatalf("COUNT with span override = %v, want ≈ 10000", got)
+	for _, c := range []struct{ ub, want float64 }{{999, 1000}, {9999, 10000}} {
+		res, err := plan.Run(&Env{Binds: Binds{{Num: 0}, {Num: c.ub}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Aggregates[0].Value; math.Abs(got-c.want) > 0.12*c.want {
+			t.Fatalf("COUNT over [0,%g] = %v, want ≈ %g", c.ub, got, c.want)
+		}
 	}
 }
 
@@ -95,7 +99,8 @@ func TestExactPlanRunAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Run(&Env{Tables: resolver{"lin": tb}})
+	binds := Binds{{Num: 0}, {Num: 499}}
+	res, err := plan.Run(&Env{Tables: resolver{"lin": tb}, Binds: binds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +113,7 @@ func TestExactPlanRunAndRender(t *testing.T) {
 	if got := res.Aggregates[1].Value; math.Abs(got-249.5) > 1e-9 {
 		t.Fatalf("AVG(x) = %v, want 249.5", got)
 	}
-	tree := plan.Render()
+	tree := plan.Render(binds)
 	for _, want := range []string{"Project [exact]", "ExactScan COUNT(y)", "ExactScan AVG(x)", "TableScan lin"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)
@@ -119,6 +124,8 @@ func TestExactPlanRunAndRender(t *testing.T) {
 	}
 }
 
+// TestExactPlanSpanOverride: the scan filters by the executing statement's
+// binds, not by the literals of the query the plan was compiled from.
 func TestExactPlanSpanOverride(t *testing.T) {
 	tb := linearTable(t, 1000)
 	q, err := sqlparse.Parse("SELECT COUNT(y) FROM lin WHERE x BETWEEN 0 AND 99")
@@ -129,12 +136,12 @@ func TestExactPlanSpanOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Run(&Env{Tables: resolver{"lin": tb}, Span: &Span{Lb: 0, Ub: 249}})
+	res, err := plan.Run(&Env{Tables: resolver{"lin": tb}, Binds: Binds{{Num: 0}, {Num: 249}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.Aggregates[0].Value; got != 250 {
-		t.Fatalf("COUNT with span override = %v, want 250", got)
+		t.Fatalf("COUNT over the rebound range = %v, want 250", got)
 	}
 }
 
@@ -147,7 +154,7 @@ func TestExactPlanUnregisteredTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Run(&Env{Tables: resolver{}}); err == nil ||
+	if _, err := plan.Run(&Env{Tables: resolver{}, Binds: Binds{{Num: 0}, {Num: 1}}}); err == nil ||
 		!strings.Contains(err.Error(), `table "nosuch" is not registered`) {
 		t.Fatalf("err = %v, want unregistered-table error", err)
 	}
@@ -162,7 +169,7 @@ func TestExactPlanJoinRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := plan.Render()
+	tree := plan.Render(Binds{{Num: 0}, {Num: 1}})
 	for _, want := range []string{"JoinEval on a.k = b.k", "TableScan a", "TableScan b"} {
 		if !strings.Contains(tree, want) {
 			t.Fatalf("tree missing %q:\n%s", want, tree)

@@ -42,6 +42,16 @@ func edgeSpans(lo, hi float64) [][2]float64 {
 
 func noSupport(err error) bool { return errors.Is(err, core.ErrNoSupport) }
 
+// The kernel tests bind every operator the same way: the span in slots 0
+// and 1, the PERCENTILE point 0.3 in slot 2.
+var spanRange = Range{Lb: 0, Ub: 1}
+
+const spanPoint = 2
+
+func spanEnv(sp [2]float64) *Env {
+	return &Env{Workers: 1, Binds: Binds{{Num: sp[0]}, {Num: sp[1]}, {Num: 0.3}}}
+}
+
 // TestShardMergePoisonedDensity: a gridded ensemble answers every aggregate,
 // PERCENTILE included, without consulting any shard's closed-form density —
 // poisoned shards reproduce the clean answers and bounds bit for bit.
@@ -59,12 +69,12 @@ func TestShardMergePoisonedDensity(t *testing.T) {
 		poisoned[i] = poisonSet(ms)
 	}
 	core.ResetEvalCounters()
-	env := &Env{Workers: 1}
 	for _, af := range allAggs {
 		for _, yIsX := range []bool{false, true} {
 			for _, sp := range edgeSpans(0, 19999) {
-				want, werr := NewShardMerge("agg", af, sets, sp[0], sp[1], yIsX, 0.3).Eval(env, nil)
-				got, gerr := NewShardMerge("agg", af, poisoned, sp[0], sp[1], yIsX, 0.3).Eval(env, nil)
+				env := spanEnv(sp)
+				want, werr := NewShardMerge("agg", af, sets, spanRange, yIsX, spanPoint).Eval(env, nil)
+				got, gerr := NewShardMerge("agg", af, poisoned, spanRange, yIsX, spanPoint).Eval(env, nil)
 				if (werr == nil) != (gerr == nil) || noSupport(werr) != noSupport(gerr) {
 					t.Fatalf("%v %v: poisoned err %v, clean err %v", af, sp, gerr, werr)
 				}
@@ -92,7 +102,6 @@ func TestShardMergePoisonedDensity(t *testing.T) {
 func TestShardedK1EqualsUnsharded(t *testing.T) {
 	ms := trainLinear(t, linearTable(t, 20000))
 	lo, hi := ms.Uni.D.Support()
-	env := &Env{Workers: 1}
 	for _, af := range allAggs {
 		for _, yIsX := range []bool{false, true} {
 			if af == exact.Sum && yIsX {
@@ -101,9 +110,9 @@ func TestShardedK1EqualsUnsharded(t *testing.T) {
 				continue
 			}
 			for _, sp := range edgeSpans(lo, hi) {
-				lb, ub := []float64{sp[0]}, []float64{sp[1]}
-				want, werr := NewModelEval("agg", af, ms, lb, ub, yIsX, 0.3).Eval(env, nil)
-				got, gerr := NewShardMerge("agg", af, []*core.ModelSet{ms}, sp[0], sp[1], yIsX, 0.3).Eval(env, nil)
+				env := spanEnv(sp)
+				want, werr := NewModelEval("agg", af, ms, []Range{spanRange}, yIsX, spanPoint).Eval(env, nil)
+				got, gerr := NewShardMerge("agg", af, []*core.ModelSet{ms}, spanRange, yIsX, spanPoint).Eval(env, nil)
 				if (werr == nil) != (gerr == nil) || noSupport(werr) != noSupport(gerr) {
 					t.Fatalf("%v yIsX=%v %v: K=1 err %v, unsharded err %v", af, yIsX, sp, gerr, werr)
 				}

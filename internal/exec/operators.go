@@ -29,7 +29,7 @@ func NewProject(path string, aggs []AggOperator, source SourceOperator) *Project
 
 func (pr *Project) Operator() string { return "Project" }
 
-func (pr *Project) Detail() string {
+func (pr *Project) Detail(Binds) string {
 	d := "[" + pr.path + "]"
 	if len(pr.aggs) != 1 {
 		d += fmt.Sprintf(" aggs=%d", len(pr.aggs))
@@ -37,7 +37,7 @@ func (pr *Project) Detail() string {
 	return d
 }
 
-func (pr *Project) Children() []Node {
+func (pr *Project) Children(Binds) []Node {
 	kids := make([]Node, 0, len(pr.aggs)+1)
 	for _, a := range pr.aggs {
 		kids = append(kids, a)
@@ -73,18 +73,6 @@ func (pr *Project) eval(env *Env) (*Result, error) {
 	return res, nil
 }
 
-// spanBounds applies an Env-level range-parameter override to the bounds an
-// operator was planned with.
-func spanBounds(env *Env, lb, ub []float64) ([]float64, []float64, error) {
-	if env.Span == nil {
-		return lb, ub, nil
-	}
-	if len(lb) != 1 {
-		return nil, nil, fmt.Errorf("exec: span override needs exactly one range predicate, plan has %d", len(lb))
-	}
-	return []float64{env.Span.Lb}, []float64{env.Span.Ub}, nil
-}
-
 // wrapEmptyRegion converts ErrNoSupport into the engine's user-facing
 // empty-selection message, preserving the sentinel for errors.Is.
 func wrapEmptyRegion(name string, err error) error {
@@ -101,9 +89,9 @@ type ModelEval struct {
 	AggName string
 	AF      exact.AggFunc
 	MS      *core.ModelSet
-	Lb, Ub  []float64
+	Ranges  []Range // one per predicate column, in the model set's column order
 	YIsX    bool
-	P       float64
+	P       int // bind slot of the PERCENTILE point, NoSlot without one
 	Multi   bool
 
 	// GroupModels, when > 0, marks this node as the per-group-model leaf of
@@ -118,7 +106,7 @@ type ModelEval struct {
 
 func (m *ModelEval) Operator() string { return "ModelEval" }
 
-func (m *ModelEval) Detail() string {
+func (m *ModelEval) Detail(b Binds) string {
 	if m.GroupModels > 0 {
 		return fmt.Sprintf("per-group models=%d", m.GroupModels)
 	}
@@ -126,33 +114,38 @@ func (m *ModelEval) Detail() string {
 		return fmt.Sprintf("per-shard models=%d", m.ShardModels)
 	}
 	return fmt.Sprintf("%s model=%s range=%s kernel=%s",
-		m.AggName, m.MS.Key(), rangeString(m.Lb, m.Ub), m.MS.EvalKernel()) +
-		boundsTag(m.planRelErr())
+		m.AggName, m.MS.Key(), rangeString(b, m.Ranges...), m.MS.EvalKernel()) +
+		boundsTag(m.relErrAt(b))
 }
 
-// planRelErr is the predicted relative error at the planned bounds — the
+// relErrAt is the predicted relative error at the statement's bounds — the
 // EXPLAIN annotation value. 0 (no tag) for multivariate models, which carry
 // no error predictor.
-func (m *ModelEval) planRelErr() float64 {
+func (m *ModelEval) relErrAt(b Binds) float64 {
 	if m.Multi || m.MS.Uni == nil {
 		return 0
 	}
-	return m.MS.Uni.PredictRelErr(m.AF, m.Lb[0], m.Ub[0])
+	lb, ub := m.Ranges[0].bounds(b)
+	return m.MS.Uni.PredictRelErr(m.AF, lb, ub)
 }
 
-func (m *ModelEval) Children() []Node { return nil }
+func (m *ModelEval) Children(Binds) []Node { return nil }
 
 func (m *ModelEval) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
-	lb, ub, err := spanBounds(env, m.Lb, m.Ub)
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	var ans *core.Answer
+	var (
+		ans *core.Answer
+		err error
+	)
 	if m.Multi {
+		lb, ub := make([]float64, len(m.Ranges)), make([]float64, len(m.Ranges))
+		for i, r := range m.Ranges {
+			lb[i], ub[i] = r.bounds(env.Binds)
+		}
 		ans, err = m.MS.EvaluateMulti(m.AF, lb, ub)
 	} else {
-		ans, err = m.MS.EvaluateUni(m.AF, lb[0], ub[0], m.YIsX,
-			&core.EvalOptions{Workers: env.Workers, P: m.P})
+		lb, ub := m.Ranges[0].bounds(env.Binds)
+		ans, err = m.MS.EvaluateUni(m.AF, lb, ub, m.YIsX,
+			&core.EvalOptions{Workers: env.Workers, P: point(env.Binds, m.P)})
 	}
 	if err != nil {
 		return AggregateResult{}, wrapEmptyRegion(m.AggName, err)
@@ -177,19 +170,20 @@ type GroupMerge struct {
 	AggName string
 	AF      exact.AggFunc
 	MS      *core.ModelSet
-	Lb, Ub  float64
+	Range   Range
 	YIsX    bool
-	P       float64
+	P       int // bind slot of the PERCENTILE point, NoSlot without one
 }
 
 func (g *GroupMerge) Operator() string { return "GroupMerge" }
 
-func (g *GroupMerge) Detail() string {
+func (g *GroupMerge) Detail(b Binds) string {
 	// The bounds tag reports the worst group model's prediction, matching
 	// the answer-level PredRelErr the merge returns.
+	lb, ub := g.Range.bounds(b)
 	var worst float64
 	for _, m := range g.MS.Groups {
-		if re := m.PredictRelErr(g.AF, g.Lb, g.Ub); re > worst {
+		if re := m.PredictRelErr(g.AF, lb, ub); re > worst {
 			worst = re
 		}
 	}
@@ -197,7 +191,7 @@ func (g *GroupMerge) Detail() string {
 		g.MS.GroupBy, len(g.MS.Groups)+len(g.MS.Raw)) + boundsTag(worst)
 }
 
-func (g *GroupMerge) Children() []Node {
+func (g *GroupMerge) Children(Binds) []Node {
 	var kids []Node
 	if len(g.MS.Groups) > 0 {
 		kids = append(kids, &ModelEval{GroupModels: len(g.MS.Groups)})
@@ -209,13 +203,9 @@ func (g *GroupMerge) Children() []Node {
 }
 
 func (g *GroupMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
-	lb, ub := []float64{g.Lb}, []float64{g.Ub}
-	lb, ub, err := spanBounds(env, lb, ub)
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	ans, err := g.MS.EvaluateUni(g.AF, lb[0], ub[0], g.YIsX,
-		&core.EvalOptions{Workers: env.Workers, P: g.P})
+	lb, ub := g.Range.bounds(env.Binds)
+	ans, err := g.MS.EvaluateUni(g.AF, lb, ub, g.YIsX,
+		&core.EvalOptions{Workers: env.Workers, P: point(env.Binds, g.P)})
 	if err != nil {
 		return AggregateResult{}, wrapEmptyRegion(g.AggName, err)
 	}
@@ -230,43 +220,43 @@ type RawGroupEval struct {
 }
 
 func (r *RawGroupEval) Operator() string { return "RawGroupEval" }
-func (r *RawGroupEval) Detail() string   { return fmt.Sprintf("raw groups=%d", len(r.MS.Raw)) }
-func (r *RawGroupEval) Children() []Node { return nil }
+func (r *RawGroupEval) Detail(Binds) string {
+	return fmt.Sprintf("raw groups=%d", len(r.MS.Raw))
+}
+func (r *RawGroupEval) Children(Binds) []Node { return nil }
 
-// NominalEval answers one aggregate for rows with NominalBy = EqValue from
-// the per-value model trained for that nominal value (§2.3, "Supporting
-// Categorical Attributes").
+// NominalEval answers one aggregate for rows with NominalBy equal to the
+// statement's equality value, from the per-value model trained for that
+// nominal value (§2.3, "Supporting Categorical Attributes").
 type NominalEval struct {
 	AggName string
 	AF      exact.AggFunc
 	MS      *core.ModelSet
-	EqValue string
-	Lb, Ub  float64
+	Eq      int // bind slot of the equality value
+	Range   Range
 	YIsX    bool
-	P       float64
+	P       int // bind slot of the PERCENTILE point, NoSlot without one
 }
 
 func (n *NominalEval) Operator() string { return "NominalEval" }
 
-func (n *NominalEval) Detail() string {
+func (n *NominalEval) Detail(b Binds) string {
 	var re float64
-	if m, ok := n.MS.Nominal[n.EqValue]; ok {
-		re = m.PredictRelErr(n.AF, n.Lb, n.Ub)
+	if m, ok := n.MS.Nominal[b[n.Eq].Str]; ok {
+		lb, ub := n.Range.bounds(b)
+		re = m.PredictRelErr(n.AF, lb, ub)
 	}
 	return fmt.Sprintf("%s model=%s %s='%s' range=%s", n.AggName, n.MS.Key(),
-		n.MS.NominalBy, n.EqValue, rangeString([]float64{n.Lb}, []float64{n.Ub})) +
+		n.MS.NominalBy, b[n.Eq].Str, rangeString(b, n.Range)) +
 		boundsTag(re)
 }
 
-func (n *NominalEval) Children() []Node { return nil }
+func (n *NominalEval) Children(Binds) []Node { return nil }
 
 func (n *NominalEval) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
-	lb, ub, err := spanBounds(env, []float64{n.Lb}, []float64{n.Ub})
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	ans, err := n.MS.EvaluateNominal(n.AF, n.EqValue, lb[0], ub[0], n.YIsX,
-		&core.EvalOptions{Workers: env.Workers, P: n.P})
+	lb, ub := n.Range.bounds(env.Binds)
+	ans, err := n.MS.EvaluateNominal(n.AF, env.Binds[n.Eq].Str, lb, ub, n.YIsX,
+		&core.EvalOptions{Workers: env.Workers, P: point(env.Binds, n.P)})
 	if err != nil {
 		return AggregateResult{}, wrapEmptyRegion(n.AggName, err)
 	}
@@ -280,9 +270,9 @@ type TableScan struct {
 	JoinSide  bool // right side of a join, for error wording
 }
 
-func (t *TableScan) Operator() string { return "TableScan" }
-func (t *TableScan) Detail() string   { return t.TableName }
-func (t *TableScan) Children() []Node { return nil }
+func (t *TableScan) Operator() string      { return "TableScan" }
+func (t *TableScan) Detail(Binds) string   { return t.TableName }
+func (t *TableScan) Children(Binds) []Node { return nil }
 
 func (t *TableScan) Open(env *Env) (*table.Table, error) {
 	if env.Tables == nil {
@@ -307,11 +297,11 @@ type JoinEval struct {
 
 func (j *JoinEval) Operator() string { return "JoinEval" }
 
-func (j *JoinEval) Detail() string {
+func (j *JoinEval) Detail(Binds) string {
 	return fmt.Sprintf("on %s.%s = %s.%s", j.Left.TableName, j.LeftKey, j.Right.TableName, j.RightKey)
 }
 
-func (j *JoinEval) Children() []Node { return []Node{j.Left, j.Right} }
+func (j *JoinEval) Children(Binds) []Node { return []Node{j.Left, j.Right} }
 
 func (j *JoinEval) Open(env *Env) (*table.Table, error) {
 	lt, err := j.Left.Open(env)
@@ -327,7 +317,9 @@ func (j *JoinEval) Open(env *Env) (*table.Table, error) {
 
 // ExactScan answers one aggregate by streaming the materialized source
 // table through the exact query processor — the fallback below the models
-// in Fig. 1 of the paper.
+// in Fig. 1 of the paper. Agg, Where and Equals come from the query the plan
+// was compiled from and are read for their columns and bind slots only: the
+// literals are the executing statement's (Env.Binds).
 type ExactScan struct {
 	AggName string
 	AF      exact.AggFunc
@@ -339,18 +331,17 @@ type ExactScan struct {
 
 func (s *ExactScan) Operator() string { return "ExactScan" }
 
-func (s *ExactScan) Detail() string {
+func (s *ExactScan) Detail(b Binds) string {
 	d := s.AggName
 	if len(s.Where) > 0 {
-		lb := make([]float64, len(s.Where))
-		ub := make([]float64, len(s.Where))
+		ranges := make([]Range, len(s.Where))
 		for i, p := range s.Where {
-			lb[i], ub[i] = p.Lb, p.Ub
+			ranges[i] = Range{Lb: p.LbSlot, Ub: p.UbSlot}
 		}
-		d += " range=" + rangeString(lb, ub)
+		d += " range=" + rangeString(b, ranges...)
 	}
 	for _, eq := range s.Equals {
-		d += fmt.Sprintf(" %s='%s'", eq.Column, eq.Value)
+		d += fmt.Sprintf(" %s='%s'", eq.Column, b[eq.Slot].Str)
 	}
 	if s.GroupBy != "" {
 		d += " groupby=" + s.GroupBy
@@ -358,26 +349,30 @@ func (s *ExactScan) Detail() string {
 	return d
 }
 
-func (s *ExactScan) Children() []Node { return nil }
+func (s *ExactScan) Children(Binds) []Node { return nil }
 
 func (s *ExactScan) Eval(env *Env, src *table.Table) (AggregateResult, error) {
 	if src == nil {
 		return AggregateResult{}, fmt.Errorf("exec: ExactScan %s has no input table", s.AggName)
 	}
-	where := s.Where
-	if env.Span != nil {
-		if len(where) != 1 {
-			return AggregateResult{}, fmt.Errorf("exec: span override needs exactly one range predicate, plan has %d", len(where))
-		}
-		where = []sqlparse.Predicate{{Column: where[0].Column, Lb: env.Span.Lb, Ub: env.Span.Ub}}
+	var preds []exact.Range
+	for _, p := range s.Where {
+		preds = append(preds, exact.Range{Column: p.Column, Lb: env.Binds[p.LbSlot].Num, Ub: env.Binds[p.UbSlot].Num})
+	}
+	var eqs []exact.Equal
+	for _, eq := range s.Equals {
+		eqs = append(eqs, exact.Equal{Column: eq.Column, Value: env.Binds[eq.Slot].Str})
 	}
 	if s.Agg.Distinct || strings.EqualFold(s.Agg.Func, "TOP") {
-		return s.evalSketchExact(src, where)
+		return s.evalSketchExact(src, preds, eqs)
 	}
-	req := exact.Request{AF: s.AF, Y: s.Agg.Column, Group: s.GroupBy, P: s.Agg.P}
+	req := exact.Request{AF: s.AF, Y: s.Agg.Column, Group: s.GroupBy, Predicates: preds, Equals: eqs}
+	if s.Agg.HasP {
+		req.P = env.Binds[s.Agg.PSlot].Num
+	}
 	if s.Agg.Column == "*" {
-		if len(where) > 0 {
-			req.Y = where[0].Column
+		if len(preds) > 0 {
+			req.Y = preds[0].Column
 		} else {
 			// COUNT(*) needs some numeric column to stream through.
 			req.Y = ""
@@ -391,12 +386,6 @@ func (s *ExactScan) Eval(env *Env, src *table.Table) (AggregateResult, error) {
 				return AggregateResult{}, fmt.Errorf("dbest: %s(*) on table %q needs a numeric column to count, but all columns are strings", s.Agg.Func, src.Name)
 			}
 		}
-	}
-	for _, p := range where {
-		req.Predicates = append(req.Predicates, exact.Range{Column: p.Column, Lb: p.Lb, Ub: p.Ub})
-	}
-	for _, eq := range s.Equals {
-		req.Equals = append(req.Equals, exact.Equal{Column: eq.Column, Value: eq.Value})
 	}
 	r, err := exact.Query(src, req)
 	if err != nil {
@@ -415,17 +404,9 @@ func (s *ExactScan) Eval(env *Env, src *table.Table) (AggregateResult, error) {
 // evalSketchExact answers COUNT(DISTINCT x) or TOP k(x) by exact scan — the
 // fallback when no sketch covers the query (and the only path once range or
 // equality predicates narrow the rows, which a whole-table sketch cannot).
-func (s *ExactScan) evalSketchExact(src *table.Table, where []sqlparse.Predicate) (AggregateResult, error) {
+func (s *ExactScan) evalSketchExact(src *table.Table, preds []exact.Range, eqs []exact.Equal) (AggregateResult, error) {
 	if s.GroupBy != "" {
 		return AggregateResult{}, fmt.Errorf("dbest: %s does not support GROUP BY", s.AggName)
-	}
-	var preds []exact.Range
-	for _, p := range where {
-		preds = append(preds, exact.Range{Column: p.Column, Lb: p.Lb, Ub: p.Ub})
-	}
-	var eqs []exact.Equal
-	for _, eq := range s.Equals {
-		eqs = append(eqs, exact.Equal{Column: eq.Column, Value: eq.Value})
 	}
 	if s.Agg.Distinct {
 		v, err := exact.DistinctCount(src, s.Agg.Column, preds, eqs)
@@ -455,20 +436,20 @@ func DisplayName(agg sqlparse.Aggregate) string {
 
 // NewModelEval builds the operator answering one aggregate from ms: a
 // GroupMerge over per-group models when ms is grouped, a plain ModelEval
-// otherwise (multivariate when len(lb) >= 2).
-func NewModelEval(name string, af exact.AggFunc, ms *core.ModelSet, lb, ub []float64, yIsX bool, p float64) AggOperator {
-	if ms.GroupBy != "" && len(lb) == 1 {
-		return &GroupMerge{AggName: name, AF: af, MS: ms, Lb: lb[0], Ub: ub[0], YIsX: yIsX, P: p}
+// otherwise (multivariate when len(ranges) >= 2). p is the bind slot of the
+// PERCENTILE point, NoSlot without one.
+func NewModelEval(name string, af exact.AggFunc, ms *core.ModelSet, ranges []Range, yIsX bool, p int) AggOperator {
+	if ms.GroupBy != "" && len(ranges) == 1 {
+		return &GroupMerge{AggName: name, AF: af, MS: ms, Range: ranges[0], YIsX: yIsX, P: p}
 	}
-	return &ModelEval{AggName: name, AF: af, MS: ms, Lb: lb, Ub: ub,
-		YIsX: yIsX, P: p, Multi: len(lb) >= 2}
+	return &ModelEval{AggName: name, AF: af, MS: ms, Ranges: ranges,
+		YIsX: yIsX, P: p, Multi: len(ranges) >= 2}
 }
 
 // NewNominalEval builds the operator answering one aggregate from the
-// per-nominal-value models of ms.
-func NewNominalEval(name string, af exact.AggFunc, ms *core.ModelSet, eqValue string, lb, ub float64, yIsX bool, p float64) AggOperator {
-	return &NominalEval{AggName: name, AF: af, MS: ms, EqValue: eqValue,
-		Lb: lb, Ub: ub, YIsX: yIsX, P: p}
+// per-nominal-value models of ms; eq is the bind slot of the equality value.
+func NewNominalEval(name string, af exact.AggFunc, ms *core.ModelSet, eq int, r Range, yIsX bool, p int) AggOperator {
+	return &NominalEval{AggName: name, AF: af, MS: ms, Eq: eq, Range: r, YIsX: yIsX, P: p}
 }
 
 // NewExactPlan compiles q into an exact-path plan: per-aggregate ExactScan

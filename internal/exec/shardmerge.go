@@ -22,26 +22,27 @@ import (
 type ShardMerge struct {
 	AggName string
 	AF      exact.AggFunc
-	// Sets is the complete ensemble in shard order; evaluation prunes it
-	// per execution so Span overrides re-prune correctly.
-	Sets   []*core.ModelSet
-	Lb, Ub float64
-	YIsX   bool
-	P      float64
+	// Sets is the complete ensemble in shard order; every execution prunes
+	// it to the shards its own statement's range overlaps.
+	Sets  []*core.ModelSet
+	Range Range
+	YIsX  bool
+	P     int // bind slot of the PERCENTILE point, NoSlot without one
 }
 
 // NewShardMerge builds the operator answering one aggregate from the
 // sharded ensemble sets (complete, in shard order).
-func NewShardMerge(name string, af exact.AggFunc, sets []*core.ModelSet, lb, ub float64, yIsX bool, p float64) AggOperator {
-	return &ShardMerge{AggName: name, AF: af, Sets: sets, Lb: lb, Ub: ub, YIsX: yIsX, P: p}
+func NewShardMerge(name string, af exact.AggFunc, sets []*core.ModelSet, r Range, yIsX bool, p int) AggOperator {
+	return &ShardMerge{AggName: name, AF: af, Sets: sets, Range: r, YIsX: yIsX, P: p}
 }
 
 func (s *ShardMerge) Operator() string { return "ShardMerge" }
 
-func (s *ShardMerge) Detail() string {
+func (s *ShardMerge) Detail(b Binds) string {
+	lb, ub := s.Range.bounds(b)
+	idx := s.overlapping(lb, ub)
 	return fmt.Sprintf("%s key=%s shards=%d/%d range=%s kernel=%s", s.AggName, s.Sets[0].BaseKey(),
-		len(s.overlapping(s.Lb, s.Ub)), len(s.Sets), rangeString([]float64{s.Lb}, []float64{s.Ub}),
-		s.kernel()) + boundsTag(s.worstRelErr(s.Lb, s.Ub, s.overlapping(s.Lb, s.Ub)))
+		len(idx), len(s.Sets), rangeString(b, s.Range), s.kernel()) + boundsTag(s.worstRelErr(lb, ub, idx))
 }
 
 // worstRelErr is the largest overlapping shard's predicted relative error —
@@ -75,8 +76,8 @@ func (s *ShardMerge) kernel() string {
 	return k
 }
 
-func (s *ShardMerge) Children() []Node {
-	return []Node{&ModelEval{ShardModels: len(s.overlapping(s.Lb, s.Ub))}}
+func (s *ShardMerge) Children(b Binds) []Node {
+	return []Node{&ModelEval{ShardModels: len(s.overlapping(s.Range.bounds(b)))}}
 }
 
 // overlapping prunes the ensemble to the shards intersecting [lb, ub],
@@ -89,18 +90,14 @@ func (s *ShardMerge) overlapping(lb, ub float64) []int {
 }
 
 func (s *ShardMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
-	lbs, ubs, err := spanBounds(env, []float64{s.Lb}, []float64{s.Ub})
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	lb, ub := lbs[0], ubs[0]
+	lb, ub := s.Range.bounds(env.Binds)
 	idx := s.overlapping(lb, ub)
 	if env.Shards != nil {
 		env.Shards.Evaluated.Add(uint64(len(idx)))
 		env.Shards.Pruned.Add(uint64(len(s.Sets) - len(idx)))
 	}
 	if s.AF == exact.Percentile {
-		v, err := s.percentile(lb, ub, idx)
+		v, err := s.percentile(point(env.Binds, s.P), lb, ub, idx)
 		if err != nil {
 			return AggregateResult{}, wrapEmptyRegion(s.AggName, err)
 		}
@@ -228,9 +225,9 @@ func mergePartials(af exact.AggFunc, ps []shard.Partial) (float64, bool) {
 // selection, and bisecting it finds the pooled quantile without any shard
 // knowing about its siblings. Each step reads the shards' grid CDFs (two
 // table lookups a shard), not their O(bins) closed-form sums.
-func (s *ShardMerge) percentile(lb, ub float64, idx []int) (float64, error) {
-	if s.P < 0 || s.P > 1 {
-		return 0, fmt.Errorf("core: percentile point %v outside [0, 1]", s.P)
+func (s *ShardMerge) percentile(p, lb, ub float64, idx []int) (float64, error) {
+	if p < 0 || p > 1 {
+		return 0, fmt.Errorf("core: percentile point %v outside [0, 1]", p)
 	}
 	// Keep the shards with density support in the range (the empty-selection
 	// rule every other aggregate applies) and bracket the bisection with
@@ -261,7 +258,7 @@ func (s *ShardMerge) percentile(lb, ub float64, idx []int) (float64, error) {
 		}
 		return t
 	}
-	v, ok := shard.Quantile(s.P, lo, hi, massLE)
+	v, ok := shard.Quantile(p, lo, hi, massLE)
 	if !ok {
 		return 0, core.ErrNoSupport
 	}

@@ -21,11 +21,11 @@ type SketchEval struct {
 
 func (s *SketchEval) Operator() string { return "SketchEval" }
 
-func (s *SketchEval) Detail() string {
+func (s *SketchEval) Detail(Binds) string {
 	return fmt.Sprintf("%s sketch=%s kernel=%s", s.AggName, s.MS.Key(), s.MS.EvalKernel())
 }
 
-func (s *SketchEval) Children() []Node { return nil }
+func (s *SketchEval) Children(Binds) []Node { return nil }
 
 func (s *SketchEval) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 	sk := s.MS.Sketch

@@ -1,6 +1,8 @@
 package sqlparse
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -71,6 +73,15 @@ var fuzzSeeds = []string{
 	"SELECT AVG(y) FROM t WITHIN 200%",
 	"SELECT AVG(within) FROM t GROUP BY within",
 	"SELECT AVG(y) FROM t WITHIN 2% WHERE x BETWEEN 1 AND 2",
+	// Query shapes (appended, so the seed#N names above keep their inputs):
+	// literals in every liftable position and interleaved, the two kept in
+	// the key, number spellings, and semicolons trailing and misplaced.
+	"SELECT PERCENTILE(x, 0.25), AVG(y) FROM t WHERE x BETWEEN 1 AND 2 AND c = 'a' AND z BETWEEN -3 AND +4e0",
+	"SELECT TOP 3(c) FROM t WHERE c = 'top' AND x BETWEEN 1 AND 2 WITHIN 5%",
+	"SELECT AVG(y) FROM t WHERE x BETWEEN 100 AND 1e2;;",
+	"SELECT AVG(y) ; FROM t WHERE x BETWEEN 1 AND 2",
+	"SELECT AVG(y) FROM t WHERE x BETWEEN 1 AND 2 AND c = ''",
+	"select top 2 5 within 3 4 'x' ? 6",
 }
 
 // FuzzParse: the lexer+parser must never panic, and a query that parses
@@ -180,6 +191,96 @@ func FuzzNormalize(f *testing.F) {
 		// unlexable input passes through verbatim.
 		if n != sql && strings.TrimSpace(n) != n {
 			t.Fatalf("Normalize left surrounding whitespace: %q -> %q", sql, n)
+		}
+	})
+}
+
+// renderShape spells out the statement a shape key and a bind vector stand
+// for: each placeholder replaced, in order, by its literal.
+func renderShape(key []byte, binds []Bind) string {
+	var b strings.Builder
+	for i := 0; i < len(key); i++ {
+		switch {
+		case key[i] == '?':
+			b.WriteString(strconv.FormatFloat(binds[0].Num, 'g', -1, 64))
+			binds = binds[1:]
+		case key[i] == '\'': // a string placeholder: every string is lifted
+			b.WriteString("'" + strings.ReplaceAll(binds[0].Str, "'", "''") + "'")
+			binds = binds[1:]
+			i += len("'?'") - 1
+		default:
+			b.WriteByte(key[i])
+		}
+	}
+	return b.String()
+}
+
+// FuzzShape: Shape (the plan-cache key function) never panics; it fails
+// exactly when the lexer does, with the lexer's error; the key does not
+// depend on the lifted literals and re-shaping the statement it stands for
+// reproduces it; and for a statement that parses, the key and the binds
+// together lose nothing — parsing the statement they spell out gives the
+// same Query, whose slots address exactly the binds that Shape lifted.
+func FuzzShape(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		key, binds, err := Shape(nil, nil, sql)
+		if _, lerr := lex(sql); (err == nil) != (lerr == nil) || (err != nil && err.Error() != lerr.Error()) {
+			t.Fatalf("Shape(%q) err = %v, lex err = %v", sql, err, lerr)
+		}
+		if err != nil {
+			return
+		}
+		spelled := renderShape(key, binds)
+		key2, binds2, err := Shape(nil, nil, spelled)
+		if err != nil || string(key2) != string(key) || !reflect.DeepEqual(binds2, binds) {
+			t.Fatalf("re-shaping is not stable:\n  input: %q\n  key: %q binds: %v\n  spelled: %q\n  key: %q binds: %v err: %v",
+				sql, key, binds, spelled, key2, binds2, err)
+		}
+		var others []Bind // other literals, of the kinds the key's placeholders name
+		for i := range key {
+			if key[i] != '?' {
+				continue
+			}
+			if i > 0 && key[i-1] == '\'' {
+				others = append(others, Bind{Str: "it's #" + strconv.Itoa(i)})
+			} else {
+				others = append(others, Bind{Num: -1.5 * float64(i)})
+			}
+		}
+		key3, binds3, err := Shape(nil, nil, renderShape(key, others))
+		if err != nil || string(key3) != string(key) || !reflect.DeepEqual(binds3, others) {
+			t.Fatalf("the key depends on the literals:\n  input: %q key: %q\n  with %v: key %q binds %v err %v",
+				sql, key, others, key3, binds3, err)
+		}
+
+		q, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		q2, err := Parse(spelled)
+		if err != nil || !reflect.DeepEqual(q2, q) {
+			t.Fatalf("shape + binds lost something:\n  input: %q -> %+v\n  spelled: %q -> %+v, %v", sql, q, spelled, q2, err)
+		}
+		if err := q.CheckBinds(binds); err != nil {
+			t.Fatalf("%q parses but its own binds fail CheckBinds: %v", sql, err)
+		}
+		want := make([]Bind, q.Binds)
+		for _, a := range q.Aggregates {
+			if a.HasP {
+				want[a.PSlot] = Bind{Num: a.P}
+			}
+		}
+		for _, p := range q.Where {
+			want[p.LbSlot], want[p.UbSlot] = Bind{Num: p.Lb}, Bind{Num: p.Ub}
+		}
+		for _, e := range q.Equals {
+			want[e.Slot] = Bind{Str: e.Value}
+		}
+		if !reflect.DeepEqual(want, append([]Bind{}, binds...)) {
+			t.Fatalf("%q: slots address %v, Shape lifted %v", sql, want, binds)
 		}
 	})
 }

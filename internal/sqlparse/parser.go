@@ -9,10 +9,17 @@ import (
 // Aggregate is one AF(column) item of the select list. For PERCENTILE the
 // HIVE syntax PERCENTILE(col, p) sets P (and HasP). COUNT(DISTINCT col)
 // sets Distinct, and the heavy-hitter form TOP <k>(col) sets K.
+//
+// The *Slot fields here and on Predicate and Equality give each literal's
+// position in the statement's bind vector (see Shape): a plan is built from
+// the slots and shared by every statement of the shape, so whoever executes
+// one reads the literals of its own statement through them, never the
+// value fields of the query the plan happened to be built from.
 type Aggregate struct {
 	Func     string // upper-case: COUNT, SUM, AVG, VARIANCE, STDDEV, PERCENTILE, TOP
 	Column   string // "*" allowed for COUNT(*)
 	P        float64
+	PSlot    int // bind slot of P; meaningful only with HasP
 	HasP     bool
 	Distinct bool // COUNT(DISTINCT col)
 	K        int  // TOP <k>(col) rank count
@@ -27,8 +34,9 @@ type Join struct {
 
 // Predicate is col BETWEEN Lb AND Ub.
 type Predicate struct {
-	Column string
-	Lb, Ub float64
+	Column         string
+	Lb, Ub         float64
+	LbSlot, UbSlot int
 }
 
 // Equality is col = 'value', the nominal-categorical selection operator of
@@ -36,6 +44,7 @@ type Predicate struct {
 type Equality struct {
 	Column string
 	Value  string
+	Slot   int
 }
 
 // Query is the parsed AST of a supported analytical query.
@@ -52,6 +61,9 @@ type Query struct {
 	// relative error fits the budget, else falls through to the exact scan.
 	Tolerance    float64
 	HasTolerance bool
+	// Binds is the length of the statement's bind vector: the literals the
+	// *Slot fields address.
+	Binds int
 }
 
 // KnownAggregates lists the aggregate function names the engine accepts.
@@ -72,11 +84,7 @@ func Parse(src string) (*Query, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	return p.parseQuery()
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -114,12 +122,12 @@ func (p *parser) expectIdent() (string, error) {
 	return t.text, nil
 }
 
-func (p *parser) expectNumber() (float64, error) {
+func (p *parser) expectNumber() (token, error) {
 	t := p.next()
 	if t.kind != tokNumber {
-		return 0, p.errfAt(t, "expected number, got %q", t.text)
+		return t, p.errfAt(t, "expected number, got %q", t.text)
 	}
-	return t.num, nil
+	return t, nil
 }
 
 func (p *parser) parseQuery() (*Query, error) {
@@ -197,24 +205,31 @@ func (p *parser) parseQuery() (*Query, error) {
 	if p.cur().kind == tokIdent && strings.EqualFold(p.cur().text, "WITHIN") &&
 		p.toks[p.i+1].kind == tokNumber {
 		p.next()
-		v, err := p.expectNumber()
+		t, err := p.expectNumber()
 		if err != nil {
 			return nil, err
 		}
 		if err := p.expectSymbol("%"); err != nil {
 			return nil, err
 		}
+		v := t.num
 		if v <= 0 || v > 100 {
 			return nil, fmt.Errorf("sqlparse: WITHIN tolerance %v%% outside (0, 100]", v)
 		}
 		q.Tolerance = v / 100
 		q.HasTolerance = true
 	}
-	if p.cur().kind == tokSymbol && p.cur().text == ";" {
+	// Any run of trailing semicolons ends the statement — the canonical form
+	// (canon) drops exactly those, so the parser and the plan-cache key agree
+	// on which statements are the same.
+	for p.cur().kind == tokSymbol && p.cur().text == ";" {
 		p.next()
 	}
 	if p.cur().kind != tokEOF {
 		return nil, p.errf("unexpected trailing input %q", p.cur().text)
+	}
+	for i := len(p.toks) - 1; i >= 0 && q.Binds == 0; i-- {
+		q.Binds = p.toks[i].slot + 1 // slots count up, so the last literal has the highest
 	}
 	if len(q.Aggregates) == 0 {
 		return nil, fmt.Errorf("sqlparse: query has no aggregate function")
@@ -289,15 +304,14 @@ func (p *parser) parseAggregateCall(fn string) (Aggregate, error) {
 			return agg, p.errf("%s takes a single argument", fn)
 		}
 		p.next()
-		v, err := p.expectNumber()
+		t, err := p.expectNumber()
 		if err != nil {
 			return agg, err
 		}
-		if v < 0 || v > 1 {
-			return agg, fmt.Errorf("sqlparse: percentile point %v outside [0, 1]", v)
+		if err := checkPoint(t.num); err != nil {
+			return agg, err
 		}
-		agg.P = v
-		agg.HasP = true
+		agg.P, agg.PSlot, agg.HasP = t.num, t.slot, true
 	} else if fn == "PERCENTILE" {
 		return agg, p.errf("PERCENTILE requires a point argument: PERCENTILE(col, p)")
 	}
@@ -337,7 +351,7 @@ func (p *parser) parseCondition(q *Query) error {
 		if t.kind != tokString {
 			return p.errfAt(t, "expected string literal after %s =", col)
 		}
-		q.Equals = append(q.Equals, Equality{Column: col, Value: t.text})
+		q.Equals = append(q.Equals, Equality{Column: col, Value: t.text, Slot: t.slot})
 		return nil
 	}
 	pred, err := p.parseBetween(col)
@@ -350,23 +364,88 @@ func (p *parser) parseCondition(q *Query) error {
 
 func (p *parser) parseBetween(col string) (Predicate, error) {
 	pred := Predicate{Column: col}
-	var err error
 	if err := p.expectKeyword("BETWEEN"); err != nil {
 		return pred, err
 	}
-	pred.Lb, err = p.expectNumber()
+	lb, err := p.expectNumber()
 	if err != nil {
 		return pred, err
 	}
 	if err := p.expectKeyword("AND"); err != nil {
 		return pred, err
 	}
-	pred.Ub, err = p.expectNumber()
+	ub, err := p.expectNumber()
 	if err != nil {
 		return pred, err
 	}
-	if pred.Ub < pred.Lb {
-		return pred, fmt.Errorf("sqlparse: BETWEEN bounds reversed (%v > %v)", pred.Lb, pred.Ub)
+	pred.Lb, pred.LbSlot, pred.Ub, pred.UbSlot = lb.num, lb.slot, ub.num, ub.slot
+	return pred, checkBounds(pred.Lb, pred.Ub)
+}
+
+// checkBounds and checkPoint are the grammar's value-dependent checks. The
+// parser applies them to the literals it reads; CheckBinds applies them to a
+// bind vector, so a statement served from a plan cached for another one's
+// literals is rejected exactly as if it had been parsed.
+func checkBounds(lb, ub float64) error {
+	if ub < lb {
+		return fmt.Errorf("sqlparse: BETWEEN bounds reversed (%v > %v)", lb, ub)
 	}
-	return pred, nil
+	return nil
+}
+
+func checkPoint(p float64) error {
+	if p < 0 || p > 1 {
+		return fmt.Errorf("sqlparse: percentile point %v outside [0, 1]", p)
+	}
+	return nil
+}
+
+// CheckBinds validates one bind vector against the query's shape: the same
+// value-dependent rejections Parse makes, in the same (statement) order,
+// with the same messages.
+func (q *Query) CheckBinds(b []Bind) error {
+	if len(b) != q.Binds {
+		return fmt.Errorf("sqlparse: query shape takes %d literals, bind vector has %d", q.Binds, len(b))
+	}
+	for _, a := range q.Aggregates {
+		if a.HasP {
+			if err := checkPoint(b[a.PSlot].Num); err != nil {
+				return err
+			}
+		}
+	}
+	for _, p := range q.Where {
+		if err := checkBounds(b[p.LbSlot].Num, b[p.UbSlot].Num); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Lift is Shape for a query that never was text: it returns a copy of q with
+// its literals renumbered into a fresh bind vector, and that vector. Slots of
+// a hand-assembled Query mean nothing; Lift is how such a query gets them.
+func (q *Query) Lift() (*Query, []Bind) {
+	c := *q
+	c.Aggregates = append([]Aggregate(nil), q.Aggregates...)
+	c.Where = append([]Predicate(nil), q.Where...)
+	c.Equals = append([]Equality(nil), q.Equals...)
+	var b []Bind
+	for i := range c.Aggregates {
+		if a := &c.Aggregates[i]; a.HasP {
+			a.PSlot = len(b)
+			b = append(b, Bind{Num: a.P})
+		}
+	}
+	for i := range c.Equals {
+		c.Equals[i].Slot = len(b)
+		b = append(b, Bind{Str: c.Equals[i].Value})
+	}
+	for i := range c.Where {
+		p := &c.Where[i]
+		p.LbSlot, p.UbSlot = len(b), len(b)+1
+		b = append(b, Bind{Num: p.Lb}, Bind{Num: p.Ub})
+	}
+	c.Binds = len(b)
+	return &c, b
 }

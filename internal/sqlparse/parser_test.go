@@ -22,7 +22,7 @@ func TestParseBasicAggregate(t *testing.T) {
 	if q.Table != "t" {
 		t.Fatalf("table = %q", q.Table)
 	}
-	if len(q.Where) != 1 || q.Where[0] != (Predicate{"x", 1, 5}) {
+	if len(q.Where) != 1 || q.Where[0] != (Predicate{Column: "x", Lb: 1, Ub: 5, LbSlot: 0, UbSlot: 1}) {
 		t.Fatalf("where = %+v", q.Where)
 	}
 }
@@ -98,7 +98,7 @@ func TestParseMultiPredicate(t *testing.T) {
 	if len(q.Where) != 2 {
 		t.Fatalf("where = %+v", q.Where)
 	}
-	if q.Where[1] != (Predicate{"x2", 3, 4}) {
+	if q.Where[1] != (Predicate{Column: "x2", Lb: 3, Ub: 4, LbSlot: 2, UbSlot: 3}) {
 		t.Fatalf("where[1] = %+v", q.Where[1])
 	}
 }

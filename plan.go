@@ -2,7 +2,6 @@ package dbest
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"dbest/internal/exec"
 	"dbest/internal/sketch"
 	"dbest/internal/sqlparse"
+	"dbest/internal/table"
 )
 
 // Path values reported by PreparedQuery.Path and Plan.Path.
@@ -24,15 +24,19 @@ const (
 	PathExact   = exec.PathExact
 )
 
-// PreparedQuery is a query planned once and executable many times: the
-// parsed SQL compiled into a physical operator tree (package internal/exec)
-// that either evaluates trained models or falls through to the exact
-// engine. It is immutable after planning and safe for concurrent Run calls.
-// A PreparedQuery snapshots the catalog at plan time; models trained
-// afterwards are picked up by re-preparing (Engine.Query does this
-// automatically via the plan cache's generation check).
-type PreparedQuery struct {
-	eng   *Engine
+// shape is one planned query shape — the unit the plan cache holds: a
+// statement with its literals lifted out (sqlparse.Shape), compiled into a
+// physical operator tree (package internal/exec) that either evaluates
+// trained models or falls through to the exact engine. The operators
+// address the literals by bind slot, so one shape serves every statement
+// that differs from it only in literals; it is immutable after planning and
+// shared by concurrent executions. A shape snapshots the catalog at plan
+// time; models trained afterwards are picked up by re-planning (the plan
+// cache's generation check).
+type shape struct {
+	// query is the statement the shape was planned from, kept for its
+	// structure and bind slots; its literal values are that one statement's
+	// and nothing reads them.
 	query *sqlparse.Query
 	plan  *exec.Plan
 	gen   uint64 // catalog generation at plan time
@@ -40,28 +44,39 @@ type PreparedQuery struct {
 	// Error-budget routing (router.go), set when the query carries a
 	// WITHIN <p>% clause and plans onto a model path: the tolerance as a
 	// fraction, the eagerly-planned exact fallback, and the calibration
-	// key. hasTol stays false for exact/sketch plans — there is nothing to
+	// key. exactPlan stays nil for exact/sketch plans — there is nothing to
 	// route.
 	tolerance float64
-	hasTol    bool
 	exactPlan *exec.Plan
 	routerKey string
 }
 
+// PreparedQuery is a query planned once and executable many times: a
+// planned shape (shared with every statement of the same shape, through the
+// plan cache) plus this statement's own literals as its bind vector. It is
+// immutable and safe for concurrent Run calls. The shape snapshots the
+// catalog at plan time; models trained afterwards are picked up by
+// re-preparing (Engine.Query does this automatically).
+type PreparedQuery struct {
+	eng   *Engine
+	sh    *shape
+	binds exec.Binds
+}
+
 // Path reports which engine path the query is bound to: "model",
 // "nominal-model", "sketch" or "exact".
-func (p *PreparedQuery) Path() string { return p.plan.Path }
+func (p *PreparedQuery) Path() string { return p.sh.plan.Path }
 
 // Reason explains an exact-path decision; empty on model paths.
-func (p *PreparedQuery) Reason() string { return p.plan.Reason }
+func (p *PreparedQuery) Reason() string { return p.sh.plan.Reason }
 
 // ModelKeys lists the catalog keys of the model sets bound to each
 // aggregate (empty on the exact path).
-func (p *PreparedQuery) ModelKeys() []string { return p.plan.ModelKeys() }
+func (p *PreparedQuery) ModelKeys() []string { return p.sh.plan.ModelKeys() }
 
 // Render returns the plan's physical operator tree, one operator per line —
-// the EXPLAIN rendering.
-func (p *PreparedQuery) Render() string { return p.plan.Render() }
+// the EXPLAIN rendering, with this statement's literals.
+func (p *PreparedQuery) Render() string { return p.sh.plan.Render(p.binds) }
 
 // Run executes the prepared query and returns its result. Each Run
 // captures the engine's current snapshot, so exact-path plans observe
@@ -69,7 +84,7 @@ func (p *PreparedQuery) Render() string { return p.plan.Render() }
 // view).
 func (p *PreparedQuery) Run() (*Result, error) {
 	t0 := time.Now()
-	res, err := p.runWith(p.eng.snap.Load())
+	res, err := p.eng.serve(p.eng.snap.Load(), p.sh, p.binds, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -77,94 +92,91 @@ func (p *PreparedQuery) Run() (*Result, error) {
 	return res, nil
 }
 
-// runWith executes the operator tree once against the given snapshot;
-// Elapsed is left for the caller to stamp.
-func (p *PreparedQuery) runWith(snap *engineSnap) (*Result, error) {
-	if p.hasTol {
-		return p.runTolerance(snap)
+// Prepare plans sql, consulting the engine's plan cache: a statement whose
+// shape was planned before — whatever its literals were — skips both the
+// parser and the catalog lookups. The returned PreparedQuery may be shared
+// with concurrent callers.
+func (e *Engine) Prepare(sql string) (*PreparedQuery, error) {
+	var kb [shapeKeyBuf]byte
+	key, binds, err := sqlparse.Shape(kb[:0], make(exec.Binds, 0, usualBinds), sql)
+	if err != nil {
+		return nil, err
 	}
-	if p.plan.Path == PathSketch {
+	sh, err := e.resolve(e.snap.Load(), key, sql, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := sh.query.CheckBinds(binds); err != nil {
+		return nil, err
+	}
+	return &PreparedQuery{eng: e, sh: sh, binds: binds}, nil
+}
+
+// shapeKeyBuf sizes the stack buffer a statement's shape key is written to,
+// and usualBinds the bind vector allocated for it (two ranges; or a range,
+// an equality and a PERCENTILE point); a longer key or vector regrows.
+const (
+	shapeKeyBuf = 256
+	usualBinds  = 4
+)
+
+// resolve returns the planned shape of one statement under snap — the only
+// place a query is planned. key is the statement's shape key: a cached plan
+// of snap's generation is returned as is; on a miss sql is parsed (once),
+// planned and cached. A statement that arrives parsed (q != nil, no key) is
+// planned afresh and not cached.
+func (e *Engine) resolve(snap *engineSnap, key []byte, sql string, q *sqlparse.Query) (*shape, error) {
+	if q == nil {
+		if sh := e.plans.get(key, snap.cat.Generation()); sh != nil {
+			return sh, nil
+		}
+		var err error
+		if q, err = sqlparse.Parse(sql); err != nil {
+			return nil, err
+		}
+	}
+	sh, err := e.planSnap(q, snap)
+	if err != nil {
+		return nil, err
+	}
+	if key != nil {
+		e.plans.put(key, sh)
+	}
+	return sh, nil
+}
+
+// serve executes one planned shape with one statement's bind vector against
+// snap — the one execution path behind Query, PreparedQuery.Run and
+// RunBatch, Engine.Run and QueryBatch. It applies the grammar's
+// value-dependent checks to the binds (a statement served from a shape that
+// was cached for other literals is rejected exactly as the parser would
+// have), routes WITHIN queries, and stamps nothing: the caller times the
+// call. src, when non-nil, is the exact path's pre-opened source table
+// (RunBatch opens it once for all its spans). The hot path takes no mutex.
+func (e *Engine) serve(snap *engineSnap, sh *shape, binds exec.Binds, src *table.Table) (*Result, error) {
+	if err := sh.query.CheckBinds(binds); err != nil {
+		return nil, err
+	}
+	env := &exec.Env{Workers: e.workers, Tables: snap, Binds: binds, Src: src, Shards: &e.shardCtrs}
+	if sh.plan.Path == PathSketch {
 		// Flush pending append credits into the sketches so the estimate
 		// reflects every append that completed before this query began.
-		p.eng.ledger.Sync()
-		p.eng.sketchHits.Add(1)
+		e.ledger.Sync()
+		e.sketchHits.Add(1)
 	}
-	er, err := p.plan.Run(&exec.Env{Workers: p.eng.workers, Tables: snap, Shards: &p.eng.shardCtrs})
+	var (
+		er  *exec.Result
+		err error
+	)
+	if sh.exactPlan != nil {
+		er, err = e.route(sh, env)
+	} else {
+		er, err = sh.plan.Run(env)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Aggregates: er.Aggregates, Source: er.Source}, nil
-}
-
-// Prepare parses and plans sql, consulting the engine's plan cache: a
-// repeated query shape skips both the parser and the catalog lookups. The
-// returned PreparedQuery may be shared with concurrent callers.
-func (e *Engine) Prepare(sql string) (*PreparedQuery, error) {
-	snap := e.snap.Load()
-	if !e.plans.enabled() {
-		q, err := sqlparse.Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		return e.planSnap(q, snap)
-	}
-	p, _, err := e.prepareSnap(sqlparse.Normalize(sql), sql, snap)
-	return p, err
-}
-
-// prepareSnap resolves one normalized shape against the plan cache under
-// the given snapshot, planning (and caching) on a miss. It returns the
-// prepared query plus its cache entry (nil when the plan was not cached,
-// e.g. it raced a generation bump).
-func (e *Engine) prepareSnap(key, sql string, snap *engineSnap) (*PreparedQuery, *cacheEntry, error) {
-	gen := snap.cat.Generation()
-	if ent := e.plans.get(key, gen); ent != nil {
-		return ent.p, ent, nil
-	}
-	q, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := e.planSnap(q, snap)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, e.plans.put(key, p), nil
-}
-
-// serveNormalized answers one normalized query shape through the plan and
-// result caches: capture a snapshot, resolve the cached plan, and — on the
-// model paths, whose answers are deterministic for a fixed catalog
-// generation — serve the memoized result without executing anything. The
-// hot path takes no mutex: snapshot load, lock-free cache lookup, atomic
-// result load. The caller stamps Elapsed.
-func (e *Engine) serveNormalized(key, sql string) (*Result, error) {
-	snap := e.snap.Load()
-	p, ent, err := e.prepareSnap(key, sql, snap)
-	if err != nil {
-		return nil, err
-	}
-	if ent != nil {
-		if r := ent.res.Load(); r != nil {
-			return cloneResult(r), nil
-		}
-	}
-	res, err := p.runWith(snap)
-	if err != nil {
-		return nil, err
-	}
-	if ent != nil && p.plan.Path != PathExact && p.plan.Path != PathSketch && !p.hasTol {
-		// Memoize model-path results only: exact-path answers depend on the
-		// base tables, which grow via Append without a generation bump, and
-		// sketch answers absorb appended rows in place the same way.
-		// Model answers can change only when the catalog publishes a new
-		// generation — which drops this entry. Tolerance-routed answers are
-		// excluded too: the routing decision moves with the calibration
-		// rings and the live tables, not just the generation.
-		ent.res.CompareAndSwap(nil, res)
-		return cloneResult(res), nil
-	}
-	return res, nil
 }
 
 // planSnap resolves q against the snapshot's catalog, compiling every
@@ -172,7 +184,7 @@ func (e *Engine) serveNormalized(key, sql string) (*Result, error) {
 // query into an exact-path plan. Binding and generation tagging use the
 // same snapshot, so a cached plan can never pin models from one generation
 // under another generation's tag.
-func (e *Engine) planSnap(q *sqlparse.Query, snap *engineSnap) (*PreparedQuery, error) {
+func (e *Engine) planSnap(q *sqlparse.Query, snap *engineSnap) (*shape, error) {
 	var (
 		pl  *exec.Plan
 		err error
@@ -188,20 +200,17 @@ func (e *Engine) planSnap(q *sqlparse.Query, snap *engineSnap) (*PreparedQuery, 
 	if err != nil {
 		return nil, err
 	}
-	pq := &PreparedQuery{eng: e, query: q, plan: pl, gen: snap.cat.Generation()}
+	sh := &shape{query: q, plan: pl, gen: snap.cat.Generation()}
 	if q.HasTolerance && (pl.Path == PathModel || pl.Path == PathNominal) {
 		// Plan the exact fallback eagerly: routing happens per execution,
 		// and the fallback must not pay a parse or catalog walk then.
-		ep, err := exec.NewExactPlan(q, "WITHIN tolerance exceeded")
-		if err != nil {
+		if sh.exactPlan, err = exec.NewExactPlan(q, "WITHIN tolerance exceeded"); err != nil {
 			return nil, err
 		}
-		pq.tolerance = q.Tolerance
-		pq.hasTol = true
-		pq.exactPlan = ep
-		pq.routerKey = strings.Join(pl.ModelKeys(), "+")
+		sh.tolerance = q.Tolerance
+		sh.routerKey = strings.Join(pl.ModelKeys(), "+")
 	}
-	return pq, nil
+	return sh, nil
 }
 
 // hasSketchAggregates reports whether any select-list aggregate is a
@@ -266,11 +275,9 @@ func (e *Engine) planNominal(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Pl
 		return exec.NewExactPlan(q, "nominal predicates support one equality plus at most one range")
 	}
 	eqp := q.Equals[0]
-	lb, ub := math.Inf(-1), math.Inf(1)
-	xcol := ""
+	xcol, rng := "", exec.Whole
 	if len(q.Where) == 1 {
-		xcol = q.Where[0].Column
-		lb, ub = q.Where[0].Lb, q.Where[0].Ub
+		xcol, rng = q.Where[0].Column, rangeOf(q.Where[0])
 	}
 	aggs := make([]exec.AggOperator, 0, len(q.Aggregates))
 	for _, agg := range q.Aggregates {
@@ -287,7 +294,7 @@ func (e *Engine) planNominal(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Pl
 			return exec.NewExactPlan(q, "no nominal model for "+agg.Func+"("+agg.Column+")")
 		}
 		aggs = append(aggs, exec.NewNominalEval(agg.Func+"("+agg.Column+")", af, ms,
-			eqp.Value, lb, ub, agg.Column == ms.XCols[0] || agg.Column == "*", agg.P))
+			eqp.Slot, rng, agg.Column == ms.XCols[0] || agg.Column == "*", pointSlot(agg)))
 	}
 	return exec.NewPlan(PathNominal, "", exec.NewProject(PathNominal, aggs, nil)), nil
 }
@@ -299,12 +306,10 @@ func (e *Engine) planNominal(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Pl
 func (e *Engine) planModel(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Plan, error) {
 	tbl := modelTable(q)
 	xcols := make([]string, len(q.Where))
-	lbs := make([]float64, len(q.Where))
-	ubs := make([]float64, len(q.Where))
+	ranges := make([]exec.Range, len(q.Where))
 	for i, pr := range q.Where {
 		xcols[i] = pr.Column
-		lbs[i] = pr.Lb
-		ubs[i] = pr.Ub
+		ranges[i] = rangeOf(pr)
 	}
 	aggs := make([]exec.AggOperator, 0, len(q.Aggregates))
 	for _, agg := range q.Aggregates {
@@ -320,8 +325,7 @@ func (e *Engine) planModel(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Plan
 			// aggregates): served by any model set over the aggregate column.
 			if ms := lookupAny(cat, tbl, agg.Column, q.GroupBy); ms != nil {
 				yIsX := len(ms.XCols) == 1 && (agg.Column == ms.XCols[0] || agg.Column == "*")
-				op = exec.NewModelEval(name, af, ms,
-					[]float64{math.Inf(-1)}, []float64{math.Inf(1)}, yIsX, agg.P)
+				op = exec.NewModelEval(name, af, ms, []exec.Range{exec.Whole}, yIsX, pointSlot(agg))
 				break
 			}
 			if q.GroupBy != "" {
@@ -330,35 +334,34 @@ func (e *Engine) planModel(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Plan
 			// Sharded fallback: a full-range merge over the whole ensemble.
 			if sets := cat.LookupShardedAny(tbl, agg.Column); sets != nil {
 				yIsX := agg.Column == sets[0].XCols[0] || agg.Column == "*"
-				op = exec.NewShardMerge(name, af, sets, math.Inf(-1), math.Inf(1), yIsX, agg.P)
+				op = exec.NewShardMerge(name, af, sets, exec.Whole, yIsX, pointSlot(agg))
 			}
 		case len(xcols) == 1:
 			if ms := cat.Lookup(tbl, xcols, yColFor(agg, xcols[0]), q.GroupBy); ms != nil {
-				op = exec.NewModelEval(name, af, ms, lbs[:1], ubs[:1],
-					agg.Column == xcols[0] || agg.Column == "*", agg.P)
+				op = exec.NewModelEval(name, af, ms, ranges,
+					agg.Column == xcols[0] || agg.Column == "*", pointSlot(agg))
 				break
 			}
 			if q.GroupBy != "" {
 				break
 			}
-			// Sharded fallback: bind the ensemble; execution prunes it to
-			// the shards overlapping the (possibly Span-overridden) range.
+			// Sharded fallback: bind the ensemble; each execution prunes it
+			// to the shards overlapping its own statement's range.
 			if sets := cat.LookupSharded(tbl, xcols[0], yColFor(agg, xcols[0])); sets != nil {
-				op = exec.NewShardMerge(name, af, sets, lbs[0], ubs[0],
-					agg.Column == xcols[0] || agg.Column == "*", agg.P)
+				op = exec.NewShardMerge(name, af, sets, ranges[0],
+					agg.Column == xcols[0] || agg.Column == "*", pointSlot(agg))
 			}
 		default:
-			ms := cat.Lookup(tbl, xcols, agg.Column, q.GroupBy)
-			lb, ub := lbs, ubs
+			ms, rs := cat.Lookup(tbl, xcols, agg.Column, q.GroupBy), ranges
 			if ms == nil {
 				// Predicate order need not match training order: try the
 				// model set's own column order.
-				ms, lb, ub = lookupPermuted(cat, tbl, xcols, lbs, ubs, agg.Column, q.GroupBy)
+				ms, rs = lookupPermuted(cat, tbl, xcols, ranges, agg.Column, q.GroupBy)
 			}
 			if ms == nil {
 				break
 			}
-			op = exec.NewModelEval(name, af, ms, lb, ub, false, agg.P)
+			op = exec.NewModelEval(name, af, ms, rs, false, pointSlot(agg))
 		}
 		if op == nil {
 			return exec.NewExactPlan(q, "no model for "+agg.Func+"("+agg.Column+") on "+tbl)
@@ -366,6 +369,17 @@ func (e *Engine) planModel(q *sqlparse.Query, cat *catalog.Snapshot) (*exec.Plan
 		aggs = append(aggs, op)
 	}
 	return exec.NewPlan(PathModel, "", exec.NewProject(PathModel, aggs, nil)), nil
+}
+
+// rangeOf and pointSlot hand a parsed literal's bind slot to the operators:
+// plans address literals by slot, never by the planned statement's values.
+func rangeOf(p sqlparse.Predicate) exec.Range { return exec.Range{Lb: p.LbSlot, Ub: p.UbSlot} }
+
+func pointSlot(a sqlparse.Aggregate) int {
+	if !a.HasP {
+		return exec.NoSlot
+	}
+	return a.PSlot
 }
 
 // lookupAny finds any univariate model set on tbl whose x or y column
@@ -390,10 +404,10 @@ func lookupAny(cat *catalog.Snapshot, tbl, col, groupBy string) *core.ModelSet {
 
 // lookupPermuted retries a multivariate lookup with predicate columns
 // reordered to the training order, scanning only tbl's model sets.
-func lookupPermuted(cat *catalog.Snapshot, tbl string, xcols []string, lbs, ubs []float64, ycol, groupBy string) (*core.ModelSet, []float64, []float64) {
+func lookupPermuted(cat *catalog.Snapshot, tbl string, xcols []string, ranges []exec.Range, ycol, groupBy string) (*core.ModelSet, []exec.Range) {
 	var (
-		found    *core.ModelSet
-		flb, fub []float64
+		found *core.ModelSet
+		frs   []exec.Range
 	)
 	cat.ScanTable(tbl, func(ms *core.ModelSet) bool {
 		if ms.GroupBy != groupBy || ms.YCol != ycol {
@@ -406,19 +420,18 @@ func lookupPermuted(cat *catalog.Snapshot, tbl string, xcols []string, lbs, ubs 
 		for i, c := range xcols {
 			pos[c] = i
 		}
-		lb := make([]float64, len(xcols))
-		ub := make([]float64, len(xcols))
+		rs := make([]exec.Range, len(xcols))
 		for j, c := range ms.XCols {
 			i, ok := pos[c]
 			if !ok {
 				return true
 			}
-			lb[j], ub[j] = lbs[i], ubs[i]
+			rs[j] = ranges[i]
 		}
-		found, flb, fub = ms, lb, ub
+		found, frs = ms, rs
 		return false
 	})
-	return found, flb, fub
+	return found, frs
 }
 
 // Plan describes how the engine would answer a statement, without running
@@ -483,8 +496,8 @@ func (e *Engine) Explain(sql string) (*Plan, error) {
 // are cumulative for the engine's lifetime — a generation wipe or capacity
 // reset never zeroes them.
 type PlanCacheStats struct {
-	Hits   uint64 // Prepare calls served from the cache
-	Misses uint64 // Prepare calls that planned from scratch
+	Hits   uint64 // statements whose shape was served from the cache
+	Misses uint64 // statements whose shape was planned from scratch
 	// Evictions counts every cached plan dropped, whichever way it went:
 	// capacity resets or generation wipes.
 	Evictions uint64
@@ -493,7 +506,7 @@ type PlanCacheStats struct {
 	// GenerationWipes counts whole-cache invalidations caused by catalog
 	// mutations (Train / LoadModels / Remove bumping the generation).
 	GenerationWipes uint64
-	Entries         int // plans currently cached
+	Entries         int // shapes currently cached
 }
 
 // PlanCacheStats returns a snapshot of the engine's plan-cache counters.
@@ -507,43 +520,20 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // have far fewer distinct shapes than this.
 const defaultPlanCacheSize = 1024
 
-// planCacheShards is the shard fan-out of the plan cache. Shards bound the
-// copy-on-write cost of a put to O(entries/shards); the lookup path is
-// lock-free regardless.
-const planCacheShards = 32
-
-// cacheEntry is one cached shape: the prepared plan plus, on the model
-// paths, the memoized result of its first execution. Model answers are
-// deterministic for a fixed catalog generation (the models are immutable
-// and only a retrain — which bumps the generation and drops this entry —
-// changes them), so a repeated hot shape is served from res with no
-// execution at all. res stays nil for exact-path plans, whose answers
-// track the live tables.
-type cacheEntry struct {
-	p   *PreparedQuery
-	res atomic.Pointer[Result]
-}
-
-// cacheMap is one shard's immutable key→entry map; writers replace it
-// wholesale (copy-on-write) under the cache's writer mutex, readers load it
-// with one atomic pointer read.
-type cacheMap struct {
-	entries map[string]*cacheEntry
-}
-
-// planCache maps normalized SQL to prepared queries (and memoized
-// model-path results). Lookups are lock-free: a generation check on an
-// atomic counter, one atomic shard-map load, one map read. Writers —
-// planning misses and generation wipes — serialize on a single mutex and
-// publish copy-on-write shard maps; the first lookup that observes a new
-// catalog generation wipes every shard, which is how Train/LoadModels/
-// Remove invalidate every stale plan (and release the model sets those
-// plans pin) without the mutation path knowing about the cache. All
-// counters are atomics, so stats() never touches the writer mutex either.
+// planCache maps shape keys (sqlparse.Shape: the canonical statement with
+// its literals lifted out) to planned shapes. The key is the canonical text
+// itself, so distinct shapes cannot collide. Lookups are lock-free: a
+// generation check on an atomic counter, one atomic map load, one map read.
+// Writers — planning misses and generation wipes — serialize on a single
+// mutex and publish a copy-on-write map (entries are shapes, so there are
+// few of them and few puts); the first lookup that observes a new catalog
+// generation wipes the map, which is how Train/LoadModels/Remove invalidate
+// every stale plan (and release the model sets those plans pin) without the
+// mutation path knowing about the cache. All counters are atomics, so
+// stats() never touches the writer mutex either.
 type planCache struct {
 	max    int // <= 0 disables caching
 	gen    atomic.Uint64
-	count  atomic.Int64 // entries across all shards
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// evictions counts every cached plan dropped, via capacity resets or
@@ -553,34 +543,25 @@ type planCache struct {
 	wipes     atomic.Uint64
 
 	mu     sync.Mutex // serializes writers (put, generation advance)
-	shards [planCacheShards]atomic.Pointer[cacheMap]
+	shapes atomic.Pointer[map[string]*shape]
 }
 
 func newPlanCache(max int) *planCache {
 	pc := &planCache{max: max}
-	for i := range pc.shards {
-		pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
-	}
+	pc.shapes.Store(&map[string]*shape{})
 	return pc
 }
 
-func (pc *planCache) enabled() bool { return pc.max > 0 }
-
-// shardIndex picks the cache shard for a key (FNV-1a).
-func shardIndex(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
+// get returns the cached shape for key planned under exactly generation
+// gen, or nil. The hit path takes no mutex and — key being looked up as
+// string(key) in place — allocates nothing. A caller observing a newer
+// generation than the cache wipes it first (the one write on the read path,
+// taken once per catalog mutation); a caller with an older generation than
+// a cached entry simply misses.
+func (pc *planCache) get(key []byte, gen uint64) *shape {
+	if pc.max <= 0 {
+		return nil
 	}
-	return h % planCacheShards
-}
-
-// get returns the cached entry for key planned under exactly generation
-// gen, or nil. The hit path takes no mutex. A caller observing a newer
-// generation than the cache wipes it first (the one write on the read
-// path, taken once per catalog mutation); a caller with an older
-// generation than a cached entry simply misses.
-func (pc *planCache) get(key string, gen uint64) *cacheEntry {
 	// Only a newer generation wipes: a reader that loaded an older
 	// generation before a concurrent Train committed must not destroy the
 	// plans already cached for the new one (the per-entry check below
@@ -588,71 +569,67 @@ func (pc *planCache) get(key string, gen uint64) *cacheEntry {
 	if gen > pc.gen.Load() {
 		pc.advance(gen)
 	}
-	m := pc.shards[shardIndex(key)].Load()
-	e := m.entries[key]
-	if e == nil || e.p.gen != gen {
+	sh := (*pc.shapes.Load())[string(key)]
+	if sh == nil || sh.gen != gen {
 		pc.misses.Add(1)
 		return nil
 	}
 	pc.hits.Add(1)
-	return e
+	return sh
 }
 
-// advance wipes every shard and moves the cache to generation gen. It runs
-// at most once per catalog mutation.
+// drop empties the cache, counting what it held as evictions. Callers hold
+// mu.
+func (pc *planCache) drop() (dropped int) {
+	dropped = len(*pc.shapes.Load())
+	pc.evictions.Add(uint64(dropped))
+	pc.shapes.Store(&map[string]*shape{})
+	return dropped
+}
+
+// advance wipes the cache and moves it to generation gen. It runs at most
+// once per catalog mutation.
 func (pc *planCache) advance(gen uint64) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if gen <= pc.gen.Load() {
 		return // another reader advanced first
 	}
-	if n := pc.count.Swap(0); n > 0 {
-		pc.evictions.Add(uint64(n))
+	if pc.drop() > 0 {
 		pc.wipes.Add(1)
-		for i := range pc.shards {
-			pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
-		}
 	}
 	pc.gen.Store(gen)
 }
 
-// put caches a freshly planned query and returns its entry (nil when the
-// plan was discarded as stale or caching is disabled).
-func (pc *planCache) put(key string, p *PreparedQuery) *cacheEntry {
-	if !pc.enabled() {
-		return nil
+// put caches a freshly planned shape (a no-op when the plan is stale or
+// caching is disabled).
+func (pc *planCache) put(key []byte, sh *shape) {
+	if pc.max <= 0 {
+		return
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if p.gen < pc.gen.Load() {
+	if sh.gen < pc.gen.Load() {
 		// Planned under an older generation than the cache tracks: caching
 		// it would overwrite (or pollute) the fresher working set only to
 		// be evicted on first lookup.
-		return nil
+		return
 	}
-	if int(pc.count.Load()) >= pc.max {
+	cur := *pc.shapes.Load()
+	if len(cur) >= pc.max {
 		// Wholesale reset: hot shapes re-plan with one parse each, and the
 		// hit path stays a single map read with no LRU bookkeeping. The
-		// reset is no longer silent — Resets/Evictions record the cost.
-		pc.evictions.Add(uint64(pc.count.Swap(0)))
+		// reset is not silent — Resets/Evictions record the cost.
+		pc.drop()
 		pc.resets.Add(1)
-		for i := range pc.shards {
-			pc.shards[i].Store(&cacheMap{entries: map[string]*cacheEntry{}})
-		}
+		cur = nil
 	}
-	i := shardIndex(key)
-	cur := pc.shards[i].Load()
-	next := make(map[string]*cacheEntry, len(cur.entries)+1)
-	for k, v := range cur.entries {
+	next := make(map[string]*shape, len(cur)+1)
+	for k, v := range cur {
 		next[k] = v
 	}
-	e := &cacheEntry{p: p}
-	if _, exists := next[key]; !exists {
-		pc.count.Add(1)
-	}
-	next[key] = e
-	pc.shards[i].Store(&cacheMap{entries: next})
-	return e
+	next[string(key)] = sh
+	pc.shapes.Store(&next)
 }
 
 func (pc *planCache) stats() PlanCacheStats {
@@ -662,6 +639,6 @@ func (pc *planCache) stats() PlanCacheStats {
 		Evictions:       pc.evictions.Load(),
 		Resets:          pc.resets.Load(),
 		GenerationWipes: pc.wipes.Load(),
-		Entries:         int(pc.count.Load()),
+		Entries:         len(*pc.shapes.Load()),
 	}
 }

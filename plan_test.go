@@ -47,14 +47,15 @@ func TestPlanCacheHitMiss(t *testing.T) {
 		t.Fatalf("fresh engine stats = %+v", st)
 	}
 	sql := "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"
-	if _, err := eng.Query(sql); err != nil {
+	first, err := eng.Query(sql)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.PlanCacheStats(); st.Hits != 0 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("after first query: %+v, want 1 miss, 1 entry", st)
 	}
-	// The same shape with different whitespace, keyword case and number
-	// formatting must hit: the cache keys on normalized SQL.
+	// The same statement with different whitespace, keyword case and number
+	// formatting must hit: the cache keys on the canonical shape.
 	if _, err := eng.Query("select  avg(ss_sales_price)  from store_sales " +
 		"where ss_sold_date_sk between 200.0 and 600 ;"); err != nil {
 		t.Fatal(err)
@@ -62,11 +63,23 @@ func TestPlanCacheHitMiss(t *testing.T) {
 	if st := eng.PlanCacheStats(); st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("after equivalent query: %+v, want 1 hit, 1 entry", st)
 	}
-	// Different bounds are a different shape: miss, second entry.
-	if _, err := eng.Query("SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 100 AND 300"); err != nil {
+	// Different bounds are the same shape — literals are bound at run time,
+	// not part of the key: hit, still one entry, and its own answer.
+	other, err := eng.Query("SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 100 AND 300")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.PlanCacheStats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
+	if st := eng.PlanCacheStats(); st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("after new literals: %+v, want 2 hits, 1 entry", st)
+	}
+	if other.Aggregates[0].Value == first.Aggregates[0].Value {
+		t.Fatalf("BETWEEN 100 AND 300 answered %v, the cached statement's answer", other.Aggregates[0].Value)
+	}
+	// A different aggregate is a different shape: miss, second entry.
+	if _, err := eng.Query("SELECT SUM(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.PlanCacheStats(); st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
 		t.Fatalf("after new shape: %+v, want 2 misses, 2 entries", st)
 	}
 }
@@ -254,6 +267,9 @@ func TestStdlibOnly(t *testing.T) {
 
 // BenchmarkPrepare shows what the plan cache saves on a repeated query
 // shape: a cache hit skips the parser and the catalog scan entirely.
+// BenchmarkQueryFreshLiterals is the dashboard case — the same shape under
+// literals never seen before — which the shape key serves from the same
+// cached plan (TestQueryAllocCeiling holds its allocs/op in tier-1).
 func BenchmarkPrepareCached(b *testing.B) {
 	eng := benchSalesEngine(b)
 	sql := "SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 600"
@@ -274,6 +290,22 @@ func BenchmarkPrepareUncached(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eng.Prepare(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkQueryFreshLiterals(b *testing.B) {
+	eng := benchSalesEngine(b)
+	sqls := make([]string, 4096)
+	for i := range sqls {
+		lo := 200 + 0.013*float64(i)
+		sqls[i] = fmt.Sprintf("SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN %g AND %g", lo, lo+400.5)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Query(sqls[i%len(sqls)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,8 +356,8 @@ func benchSalesEngine(b *testing.B, opts ...dbest.Options) *dbest.Engine {
 func TestPlanCacheEvictionCounters(t *testing.T) {
 	eng := dbest.New(&dbest.Options{PlanCacheSize: 2})
 	s1 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 1 AND 2"
-	s2 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 3 AND 4"
-	s3 := "SELECT COUNT(a) FROM t WHERE a BETWEEN 5 AND 6"
+	s2 := "SELECT SUM(a) FROM t WHERE a BETWEEN 3 AND 4"
+	s3 := "SELECT AVG(a) FROM t WHERE a BETWEEN 5 AND 6"
 	for _, sql := range []string{s1, s1, s2} {
 		if _, err := eng.Prepare(sql); err != nil {
 			t.Fatal(err)

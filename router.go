@@ -137,26 +137,26 @@ func (e *Engine) RouterStats() RouterStats {
 	}
 }
 
-// runTolerance answers a WITHIN-budget query: run the model plan, serve it
-// if every aggregate's calibrated prediction fits the budget, else fall
-// through to the eagerly-planned exact fallback — feeding the model-vs-exact
-// comparison back into the calibration ring on the way.
-func (p *PreparedQuery) runTolerance(snap *engineSnap) (*Result, error) {
-	env := &exec.Env{Workers: p.eng.workers, Tables: snap, Shards: &p.eng.shardCtrs}
-	mres, merr := p.plan.Run(env)
-	if merr == nil && p.withinBudget(mres) {
-		p.eng.router.modelHits.Add(1)
-		return &Result{Aggregates: mres.Aggregates, Source: mres.Source}, nil
+// route answers a WITHIN-budget query: run the model plan, serve it if every
+// aggregate's calibrated prediction fits the budget, else fall through to
+// the eagerly-planned exact fallback — feeding the model-vs-exact comparison
+// back into the calibration ring on the way. Both plans read the same bind
+// vector from env.
+func (e *Engine) route(sh *shape, env *exec.Env) (*exec.Result, error) {
+	mres, merr := sh.plan.Run(env)
+	if merr == nil && e.router.withinBudget(sh, mres) {
+		e.router.modelHits.Add(1)
+		return mres, nil
 	}
-	p.eng.router.exactFallbacks.Add(1)
-	eres, err := p.exactPlan.Run(env)
+	e.router.exactFallbacks.Add(1)
+	eres, err := sh.exactPlan.Run(env)
 	if err != nil {
 		return nil, err
 	}
 	if merr == nil {
-		p.feedback(mres, eres)
+		e.router.feedback(sh, mres, eres)
 	}
-	return &Result{Aggregates: eres.Aggregates, Source: eres.Source}, nil
+	return eres, nil
 }
 
 // withinBudget reports whether every aggregate's predicted relative error,
@@ -164,10 +164,10 @@ func (p *PreparedQuery) runTolerance(snap *engineSnap) (*Result, error) {
 // An aggregate with unknown bounds (PredRelErr == 0 — old catalogs, tiny
 // samples, raw-tuple groups) never fits: serving it would promise a budget
 // nothing backs.
-func (p *PreparedQuery) withinBudget(res *exec.Result) bool {
-	factor := p.eng.router.factor(p.routerKey)
+func (rt *routerState) withinBudget(sh *shape, res *exec.Result) bool {
+	factor := rt.factor(sh.routerKey)
 	for _, a := range res.Aggregates {
-		if a.PredRelErr <= 0 || a.PredRelErr*factor > p.tolerance {
+		if a.PredRelErr <= 0 || a.PredRelErr*factor > sh.tolerance {
 			return false
 		}
 	}
@@ -178,7 +178,7 @@ func (p *PreparedQuery) withinBudget(res *exec.Result) bool {
 // model-vs-exact pair. Only scalar aggregates feed the ring: GROUP BY
 // results would need per-group matching for a ground truth, and the scalar
 // signal is plentiful enough to calibrate on.
-func (p *PreparedQuery) feedback(mres, eres *exec.Result) {
+func (rt *routerState) feedback(sh *shape, mres, eres *exec.Result) {
 	if len(mres.Aggregates) != len(eres.Aggregates) {
 		return
 	}
@@ -187,6 +187,6 @@ func (p *PreparedQuery) feedback(mres, eres *exec.Result) {
 			continue
 		}
 		obs := workload.RelErr(m.Value, eres.Aggregates[i].Value)
-		p.eng.router.observe(p.routerKey, obs/m.PredRelErr)
+		rt.observe(sh.routerKey, obs/m.PredRelErr)
 	}
 }
