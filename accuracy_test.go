@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -191,7 +192,8 @@ func TestCICoverageRegression(t *testing.T) {
 		t.Skip("CI-coverage harness trains 5 model configurations; skipped in -short")
 	}
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 60000, Seed: 42})
-	opts := &dbest.TrainOptions{SampleSize: 4000, Seed: 42}
+	spec := dbest.ModelSpec{Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 4000, Seed: 42}
 	aggs := []struct {
 		af  exact.AggFunc
 		sql string
@@ -247,7 +249,7 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(tb); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &spec); err != nil {
 			t.Fatal(err)
 		}
 		checkCoverage(t, eng, tb)
@@ -259,7 +261,9 @@ func TestCICoverageRegression(t *testing.T) {
 			if err := eng.RegisterTable(tb); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", k, opts); err != nil {
+			sspec := spec
+			sspec.Shards = k
+			if _, err := eng.CreateModel(context.Background(), &sspec); err != nil {
 				t.Fatal(err)
 			}
 			checkCoverage(t, eng, tb)
@@ -272,9 +276,9 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(gtb); err != nil {
 			t.Fatal(err)
 		}
-		gopts := *opts
-		gopts.GroupBy = "ss_store_sk"
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", &gopts); err != nil {
+		gspec := spec
+		gspec.GroupBy = "ss_store_sk"
+		if _, err := eng.CreateModel(context.Background(), &gspec); err != nil {
 			t.Fatal(err)
 		}
 		covered, total := 0, 0
@@ -321,7 +325,7 @@ func TestCICoverageRegression(t *testing.T) {
 		if err := eng.RegisterTable(half); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &spec); err != nil {
 			t.Fatal(err)
 		}
 		if err := eng.StartRefresher(&dbest.RefreshOptions{
@@ -354,7 +358,7 @@ func TestAccuracyRegression(t *testing.T) {
 
 	type config struct {
 		name   string
-		shards int // 0 = plain (unsharded) Train
+		shards int // 0 = plain (unsharded) model
 	}
 	configs := []config{
 		{"unsharded", 0},
@@ -378,14 +382,10 @@ func TestAccuracyRegression(t *testing.T) {
 			if err := eng.RegisterTable(tb); err != nil {
 				t.Fatal(err)
 			}
-			opts := &dbest.TrainOptions{SampleSize: 4000, Seed: 42}
-			var err error
-			if cfg.shards == 0 {
-				_, err = eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts)
-			} else {
-				_, err = eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", cfg.shards, opts)
-			}
-			if err != nil {
+			if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+				Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+				Shards: cfg.shards, SampleSize: 4000, Seed: 42,
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for _, agg := range aggs {

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -27,8 +28,9 @@ func analyticsEngine(t *testing.T) *dbest.Engine {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("lin", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 10000, Seed: 51}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "lin", XCols: []string{"x"}, YCol: "y", SampleSize: 10000, Seed: 51,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -110,8 +112,9 @@ func TestDiscoverRelationshipDecreasing(t *testing.T) {
 	tb.AddFloatColumn("y", ys)
 	eng := dbest.New(nil)
 	_ = eng.RegisterTable(tb)
-	if _, err := eng.Train("dec", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 8000, Seed: 52}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "dec", XCols: []string{"x"}, YCol: "y", SampleSize: 8000, Seed: 52,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := eng.DiscoverRelationship("dec", "x", "y")

@@ -67,7 +67,7 @@ func (e *Engine) QueryBatch(sqls []string) []BatchResult {
 		st := seen[string(id)]
 		if st == nil {
 			st = &stmt{binds: binds}
-			st.sh, st.err = e.resolve(snap, key, sql, nil)
+			st.sh, st.err = e.resolve(snap, key, sql)
 			seen[string(id)] = st
 			distinct = append(distinct, st)
 		}

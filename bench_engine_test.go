@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -23,9 +24,10 @@ func engineForBench() (*dbest.Engine, error) {
 			benchEngErr = err
 			return
 		}
-		_, benchEngErr = benchEng.Train("store_sales",
-			[]string{"ss_list_price"}, "ss_wholesale_cost",
-			&dbest.TrainOptions{SampleSize: 10_000, Seed: 1})
+		_, benchEngErr = benchEng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "store_sales", XCols: []string{"ss_list_price"},
+			YCol: "ss_wholesale_cost", SampleSize: 10_000, Seed: 1,
+		})
 	})
 	return benchEng, benchEngErr
 }

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,8 +56,10 @@ func BenchmarkQueryUnsharded(b *testing.B) {
 	if err := eng.RegisterTable(benchSalesTable()); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: benchShardTotalSample, Seed: 7}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: benchShardTotalSample, Seed: 7,
+	}); err != nil {
 		b.Fatal(err)
 	}
 	runNarrowWorkload(b, eng)
@@ -68,8 +71,10 @@ func BenchmarkQuerySharded(b *testing.B) {
 	if err := eng.RegisterTable(benchSalesTable()); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", k,
-		&dbest.TrainOptions{SampleSize: benchShardTotalSample / k, Seed: 7}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		Shards: k, SampleSize: benchShardTotalSample / k, Seed: 7,
+	}); err != nil {
 		b.Fatal(err)
 	}
 	runNarrowWorkload(b, eng)

@@ -1,6 +1,7 @@
 package dbest
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,7 +19,9 @@ func bindTestEngine(t testing.TB, opts *Options) *Engine {
 	if err := eng.RegisterTable(snapTestTable("t", 4000, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("t", []string{"x"}, "y", &TrainOptions{SampleSize: 1000, Seed: 5}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+		Table: "t", XCols: []string{"x"}, YCol: "y", SampleSize: 1000, Seed: 5,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec("CREATE SKETCH tx ON t(x) TYPE TOPK K 5"); err != nil {
@@ -150,7 +153,10 @@ func TestNoBindLeakageUnderConcurrency(t *testing.T) {
 	}
 	train := func(scale float64) {
 		t.Helper()
-		if _, err := eng.Train("t", []string{"x"}, "y", &TrainOptions{SampleSize: 800, Seed: 6, Scale: scale}); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+			Table: "t", XCols: []string{"x"}, YCol: "y", SampleSize: 800, Seed: 6,
+			Scale: scale,
+		}); err != nil {
 			t.Error(err)
 		}
 	}

@@ -35,6 +35,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -107,11 +108,12 @@ func main() {
 		if len(parts) < 3 || len(parts) > 4 {
 			log.Fatalf("bad -train %q, want table:xcols:ycol[:groupby]", spec)
 		}
-		opts := &dbest.TrainOptions{SampleSize: *sampleSize, Seed: *seed}
+		ms := &dbest.ModelSpec{Table: parts[0], XCols: strings.Split(parts[1], ","), YCol: parts[2],
+			SampleSize: *sampleSize, Seed: *seed}
 		if len(parts) == 4 {
-			opts.GroupBy = parts[3]
+			ms.GroupBy = parts[3]
 		}
-		info, err := eng.Train(parts[0], strings.Split(parts[1], ","), parts[2], opts)
+		info, err := eng.CreateModel(context.Background(), ms)
 		if err != nil {
 			log.Fatal(err)
 		}

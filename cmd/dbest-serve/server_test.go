@@ -41,7 +41,9 @@ func newTestEngine(t *testing.T) *dbest.Engine {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("sensor", []string{"x"}, "y", &dbest.TrainOptions{SampleSize: 2000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "sensor", XCols: []string{"x"}, YCol: "y", SampleSize: 2000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return eng

@@ -25,17 +25,18 @@
 //	DROP MODEL <name>             drop a model or sketch by name or key
 //	SHOW MODELS                   list models with spec, size and staleness
 //
-// and ingestion / legacy training statements:
+// and ingestion / training statements:
 //
 //	APPEND <table> v1,v2,...     append one row (values in column order)
 //	INGEST <table> <path.csv>    append a CSV micro-batch (schema must match)
 //	STALENESS                    print the per-model staleness ledger
 //	TRAIN <table>:<xcols>:<ycol>[:<groupby>] [SHARDS <k>]
-//	                             legacy colon-separated form of CREATE MODEL
+//	                             colon-separated form of CREATE MODEL
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/csv"
 	"flag"
 	"fmt"
@@ -94,16 +95,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "loaded models: %v\n", eng.ModelKeys())
 	}
-	for _, spec := range trains {
-		parts := strings.Split(spec, ":")
-		if len(parts) < 3 || len(parts) > 4 {
-			fail(fmt.Errorf("bad -train %q, want table:xcols:ycol[:groupby]", spec))
+	// base carries the -sample/-seed defaults every -train flag and TRAIN
+	// statement starts from.
+	base := dbest.ModelSpec{SampleSize: *sampleSize, Seed: *seed}
+	for _, arg := range trains {
+		spec, ok := trainSpec(arg, base)
+		if !ok {
+			fail(fmt.Errorf("bad -train %q, want table:xcols:ycol[:groupby]", arg))
 		}
-		opts := &dbest.TrainOptions{SampleSize: *sampleSize, Seed: *seed}
-		if len(parts) == 4 {
-			opts.GroupBy = parts[3]
-		}
-		info, err := eng.Train(parts[0], strings.Split(parts[1], ","), parts[2], opts)
+		info, err := eng.CreateModel(context.Background(), spec)
 		if err != nil {
 			fail(err)
 		}
@@ -118,13 +118,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "saved models to %s\n", *save)
 	}
 
-	baseOpts := func() *dbest.TrainOptions {
-		return &dbest.TrainOptions{SampleSize: *sampleSize, Seed: *seed}
-	}
 	runOne := func(sql string) {
 		// Ingestion and training statements: APPEND / INGEST / STALENESS /
 		// TRAIN.
-		if handled := runIngestStatement(eng, sql, baseOpts()); handled {
+		if handled := runIngestStatement(eng, sql, base); handled {
 			return
 		}
 		// EXPLAIN <query> prints the physical operator tree instead of
@@ -199,9 +196,9 @@ func boundsSuffix(relErr float64, ci [2]float64) string {
 }
 
 // runIngestStatement handles the non-SQL statements of the stdin loop
-// (ingestion and training), reporting whether line was one of them. opts
+// (ingestion and training), reporting whether line was one of them. base
 // carries the CLI's -sample/-seed defaults for TRAIN.
-func runIngestStatement(eng *dbest.Engine, line string, opts *dbest.TrainOptions) bool {
+func runIngestStatement(eng *dbest.Engine, line string, base dbest.ModelSpec) bool {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return false
@@ -215,7 +212,7 @@ func runIngestStatement(eng *dbest.Engine, line string, opts *dbest.TrainOptions
 		runModelStatement(eng, line)
 		return true
 	case "TRAIN":
-		runTrainStatement(eng, fields[1:], opts)
+		runTrainStatement(eng, fields[1:], base)
 		return true
 	case "STALENESS":
 		for _, st := range eng.ModelStaleness() {
@@ -353,12 +350,25 @@ func runModelStatement(eng *dbest.Engine, line string) {
 	}
 }
 
+// trainSpec parses the colon-separated model definition the -train flag and
+// the TRAIN statement share, table:xcols:ycol[:groupby], into base.
+func trainSpec(arg string, base dbest.ModelSpec) (*dbest.ModelSpec, bool) {
+	parts := strings.Split(arg, ":")
+	if len(parts) < 3 || len(parts) > 4 {
+		return nil, false
+	}
+	base.Table, base.XCols, base.YCol = parts[0], strings.Split(parts[1], ","), parts[2]
+	if len(parts) == 4 {
+		base.GroupBy = parts[3]
+	}
+	return &base, true
+}
+
 // runTrainStatement handles TRAIN <table>:<xcols>:<ycol>[:<groupby>]
 // [SHARDS <k>]: plain (or grouped) training, or a k-shard range ensemble
 // over a single x column.
-func runTrainStatement(eng *dbest.Engine, args []string, opts *dbest.TrainOptions) {
+func runTrainStatement(eng *dbest.Engine, args []string, base dbest.ModelSpec) {
 	usage := "usage: TRAIN <table>:<xcols>:<ycol>[:<groupby>] [SHARDS <k>]"
-	shards := 0
 	switch len(args) {
 	case 1:
 	case 3:
@@ -371,33 +381,17 @@ func runTrainStatement(eng *dbest.Engine, args []string, opts *dbest.TrainOption
 			fmt.Fprintf(os.Stderr, "error: SHARDS wants a positive integer, got %q\n", args[2])
 			return
 		}
-		shards = k
+		base.Shards = k
 	default:
 		fmt.Fprintf(os.Stderr, "error: %s\n", usage)
 		return
 	}
-	parts := strings.Split(args[0], ":")
-	if len(parts) < 3 || len(parts) > 4 {
+	spec, ok := trainSpec(args[0], base)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "error: %s\n", usage)
 		return
 	}
-	if len(parts) == 4 {
-		opts.GroupBy = parts[3]
-	}
-	xcols := strings.Split(parts[1], ",")
-	var (
-		info *dbest.TrainInfo
-		err  error
-	)
-	if shards > 0 {
-		if len(xcols) != 1 || opts.GroupBy != "" {
-			fmt.Fprintln(os.Stderr, "error: SHARDS requires a single x column and no group-by")
-			return
-		}
-		info, err = eng.TrainSharded(parts[0], xcols[0], parts[2], shards, opts)
-	} else {
-		info, err = eng.Train(parts[0], xcols, parts[2], opts)
-	}
+	info, err := eng.CreateModel(context.Background(), spec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		return

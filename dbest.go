@@ -28,7 +28,6 @@
 package dbest
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -51,45 +50,8 @@ func NewTable(name string) *Table { return table.New(name) }
 // LoadCSV loads a table from a CSV file with a header row.
 func LoadCSV(name, path string) (*Table, error) { return table.LoadCSV(name, path) }
 
-// TrainOptions configures sampling and model training for the legacy
-// Train* entry points. The zero value (or nil) uses a 10k-row sample,
-// auto-sized boosted trees, and binned KDE.
-//
-// Deprecated: assemble a ModelSpec and call Engine.CreateModel instead —
-// the spec carries the same fields, validates them centrally, and is
-// persisted with the models so reloaded catalogs stay refreshable.
-type TrainOptions struct {
-	// SampleSize is the uniform (reservoir) sample size; with GroupBy it is
-	// the per-group sample size. Default 10 000.
-	SampleSize int
-	// GroupBy builds one model pair per value of this Int64 column.
-	GroupBy string
-	// Scale is the logical rows represented per physical row, for
-	// experiments that simulate billion-row tables. Default 1.
-	Scale float64
-	// Seed makes sampling and training deterministic.
-	Seed int64
-	// MinGroupModel: groups whose sample is smaller keep raw tuples instead
-	// of models (answered exactly). Default 30.
-	MinGroupModel int
-	// Workers bounds parallel per-group training. 0 = GOMAXPROCS.
-	Workers int
-	// EnsemblePLR adds a piecewise-linear constituent to the regression
-	// ensemble alongside the two boosted-tree models.
-	EnsemblePLR bool
-	// KDEBins is the density-estimator grid resolution. Default 1024.
-	KDEBins int
-	// Regressor selects the regression family: "" or "ensemble" (default),
-	// or a single constituent "gboost", "xgboost", "plr".
-	Regressor string
-	// GridKnots is the base knot budget of the train-time evaluation grid
-	// (0 = default, positive = explicit, negative = disable grids and
-	// answer every integral through adaptive quadrature).
-	GridKnots int
-}
-
-// TrainInfo reports what a CreateModel (or legacy Train*) call built — the
-// state-building overheads of the paper's Figs. 4, 12 and 16.
+// TrainInfo reports what a CreateModel call built — the state-building
+// overheads of the paper's Figs. 4, 12 and 16.
 type TrainInfo struct {
 	Key        string
 	NumModels  int
@@ -97,8 +59,8 @@ type TrainInfo struct {
 	SampleRows int
 	SampleTime time.Duration
 	TrainTime  time.Duration
-	// Shards is the ensemble size for TrainSharded builds (0 for plain
-	// training); Key is then the ensemble's base key.
+	// Shards is the ensemble size for sharded builds (0 for plain training);
+	// Key is then the ensemble's base key.
 	Shards int
 }
 
@@ -408,11 +370,11 @@ func (e *Engine) SaveModels(path string) error { return e.catalog.SaveFile(path)
 
 // LoadModels loads a catalog saved with SaveModels, replacing the current
 // one. The staleness ledger is rebuilt from the persisted model specs:
-// every model trained through CreateModel (or the Train* wrappers) is
-// re-registered for staleness tracking with a retrain that re-executes its
-// spec, so ingestion past the threshold keeps refreshing models across
-// save/load cycles. Only models from catalogs saved before specs existed
-// stay untracked until rebuilt through CreateModel.
+// every model trained through CreateModel is re-registered for staleness
+// tracking with a retrain that re-executes its spec, so ingestion past the
+// threshold keeps refreshing models across save/load cycles. Only models
+// from catalogs saved before specs existed stay untracked until rebuilt
+// through CreateModel.
 func (e *Engine) LoadModels(path string) error {
 	if err := e.catalog.LoadFile(path); err != nil {
 		return err
@@ -420,23 +382,6 @@ func (e *Engine) LoadModels(path string) error {
 	e.ledger.Clear()
 	e.retrackLoaded()
 	return nil
-}
-
-// Train builds models for AF(ycol) queries with range predicates on xcols
-// over the registered table tbl, registers them in the catalog and returns
-// build statistics. Pass one x column for univariate predicates, two for
-// multivariate; set opts.GroupBy for per-group models. It is a thin
-// wrapper over CreateModel.
-func (e *Engine) Train(tbl string, xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(context.Background(), specFor(tbl, xcols, ycol, opts))
-}
-
-// TrainContext is Train with cancellation: a canceled ctx aborts the build
-// at the next model-fit boundary without touching the catalog. A server
-// passes the request context so an abandoned client connection stops its
-// training instead of burning CPU for nobody.
-func (e *Engine) TrainContext(ctx context.Context, tbl string, xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(ctx, specFor(tbl, xcols, ycol, opts))
 }
 
 // trainInfo converts a trained model set's stats to the public TrainInfo.
@@ -454,40 +399,6 @@ func trainInfo(ms *core.ModelSet) *TrainInfo {
 // JoinName is the synthetic table name under which models trained over a
 // join are registered and queried.
 func JoinName(left, right string) string { return left + "_join_" + right }
-
-// TrainJoin implements the paper's first join approach (§2.2): precompute
-// the join result, sample it, train models over the sample, and discard
-// both the join result and the sample. Only the models are retained. The
-// models answer SQL queries phrased as "FROM left JOIN right ON lk = rk".
-// It is a thin wrapper over CreateModel.
-func (e *Engine) TrainJoin(left, right, leftKey, rightKey string, xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(context.Background(), specFor(left, xcols, ycol, opts).withJoin(right, leftKey, rightKey))
-}
-
-// TrainJoinContext is TrainJoin with cancellation (see TrainContext).
-func (e *Engine) TrainJoinContext(ctx context.Context, left, right, leftKey, rightKey string, xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(ctx, specFor(left, xcols, ycol, opts).withJoin(right, leftKey, rightKey))
-}
-
-// TrainJoinSampled implements the paper's second join approach (§2.2),
-// for joins of tables too large to precompute in full: each side is first
-// reduced by hashed (universe) sampling on the join key with the same hash
-// band — which preserves join pairs — the join is computed over the hashed
-// samples, a small uniform sample is drawn from the sample-join, and
-// models are trained from it. num/denom is the hash-band keep ratio
-// (e.g. 1/4 keeps ≈ 25% of join-key values). It is a thin wrapper over
-// CreateModel.
-func (e *Engine) TrainJoinSampled(left, right, leftKey, rightKey string, num, denom uint64,
-	xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(context.Background(), specFor(left, xcols, ycol, opts).withSampledJoin(right, leftKey, rightKey, num, denom))
-}
-
-// TrainJoinSampledContext is TrainJoinSampled with cancellation (see
-// TrainContext).
-func (e *Engine) TrainJoinSampledContext(ctx context.Context, left, right, leftKey, rightKey string, num, denom uint64,
-	xcols []string, ycol string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(ctx, specFor(left, xcols, ycol, opts).withSampledJoin(right, leftKey, rightKey, num, denom))
-}
 
 // AggregateResult is the answer for one select-list aggregate, e.g.
 // "AVG(ss_sales_price)" with its value and per-group answers for GROUP BY.
@@ -520,24 +431,8 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.answer(t0, key, sql, nil, binds)
-}
-
-// Run plans and answers a pre-parsed query, bypassing the plan cache: plan
-// once, run once, both against one snapshot. The query's literals are read
-// from its value fields (its slots, if it has any, are reassigned).
-func (e *Engine) Run(q *sqlparse.Query) (*Result, error) {
-	t0 := time.Now()
-	lifted, binds := q.Lift()
-	return e.answer(t0, nil, "", lifted, binds)
-}
-
-// answer resolves one statement (resolve's arguments) and serves it with
-// binds, both against the snapshot current at the call, and stamps the
-// result with the time since t0.
-func (e *Engine) answer(t0 time.Time, key []byte, sql string, q *sqlparse.Query, binds exec.Binds) (*Result, error) {
 	snap := e.snap.Load()
-	sh, err := e.resolve(snap, key, sql, q)
+	sh, err := e.resolve(snap, key, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -556,22 +451,6 @@ func modelTable(q *sqlparse.Query) string {
 		return JoinName(q.Table, q.Join.Table)
 	}
 	return q.Table
-}
-
-// TrainNominal builds one model pair per distinct value of the String
-// column nominalBy — the paper's nominal categorical support (§2.3). The
-// models answer queries of the form
-//
-//	SELECT AF(ycol) FROM tbl WHERE nominalBy = 'v' AND xcol BETWEEN a AND b
-//
-// It is a thin wrapper over CreateModel.
-func (e *Engine) TrainNominal(tbl, xcol, ycol, nominalBy string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(context.Background(), specFor(tbl, []string{xcol}, ycol, opts).withNominal(nominalBy))
-}
-
-// TrainNominalContext is TrainNominal with cancellation (see TrainContext).
-func (e *Engine) TrainNominalContext(ctx context.Context, tbl, xcol, ycol, nominalBy string, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(ctx, specFor(tbl, []string{xcol}, ycol, opts).withNominal(nominalBy))
 }
 
 // yColFor maps COUNT(*) and density-based aggregates onto the predicate

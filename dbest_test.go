@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -28,8 +29,10 @@ func newSalesEngine(t *testing.T, rows int) (*dbest.Engine, *dbest.Table) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 5000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 5000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return eng, tb
@@ -60,7 +63,9 @@ func TestRegisterTableValidation(t *testing.T) {
 
 func TestTrainUnknownTable(t *testing.T) {
 	eng := dbest.New(nil)
-	if _, err := eng.Train("ghost", []string{"x"}, "y", nil); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "ghost", XCols: []string{"x"}, YCol: "y",
+	}); err == nil {
 		t.Fatal("want error for unregistered table")
 	}
 }
@@ -156,8 +161,10 @@ func TestGroupByQuery(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 3000, Seed: 3, GroupBy: "ss_store_sk"})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 3000, Seed: 3, GroupBy: "ss_store_sk",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +206,12 @@ func TestJoinQueryViaModels(t *testing.T) {
 	if err := eng.RegisterTable(stores); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eng.TrainJoin("store_sales", "store", "ss_store_sk", "s_store_sk",
-		[]string{"s_number_of_employees"}, "ss_net_profit",
-		&dbest.TrainOptions{SampleSize: 8000, Seed: 5})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales",
+		Join:  &dbest.JoinSpec{Table: "store", LeftKey: "ss_store_sk", RightKey: "s_store_sk"},
+		XCols: []string{"s_number_of_employees"}, YCol: "ss_net_profit",
+		SampleSize: 8000, Seed: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +279,9 @@ func TestMultivariateQuery(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("mv", []string{"x1", "x2"}, "y",
-		&dbest.TrainOptions{SampleSize: 4000, Seed: 8}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "mv", XCols: []string{"x1", "x2"}, YCol: "y", SampleSize: 4000, Seed: 8,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Query(`SELECT AVG(y) FROM mv WHERE x1 BETWEEN 2 AND 8 AND x2 BETWEEN 3 AND 9`)
@@ -387,8 +398,10 @@ func TestScaledLogicalTable(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 20000, Seed: 9})
 	eng := dbest.New(nil)
 	_ = eng.RegisterTable(tb)
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 5000, Seed: 9, Scale: 1e5}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 5000, Seed: 9, Scale: 1e5,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := eng.Query(`SELECT COUNT(ss_sales_price) FROM store_sales

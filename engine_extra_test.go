@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -22,9 +23,13 @@ func TestTrainJoinSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep half the join-key universe on both sides.
-	info, err := eng.TrainJoinSampled("store_sales", "store", "ss_store_sk", "s_store_sk",
-		1, 2, []string{"s_number_of_employees"}, "ss_net_profit",
-		&dbest.TrainOptions{SampleSize: 8000, Seed: 21})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales",
+		Join: &dbest.JoinSpec{Table: "store", LeftKey: "ss_store_sk", RightKey: "s_store_sk",
+			Sampled: true, SampleNum: 1, SampleDenom: 2},
+		XCols: []string{"s_number_of_employees"}, YCol: "ss_net_profit",
+		SampleSize: 8000, Seed: 21,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +74,12 @@ func TestTrainJoinSampled(t *testing.T) {
 
 func TestTrainJoinSampledErrors(t *testing.T) {
 	eng := dbest.New(nil)
-	if _, err := eng.TrainJoinSampled("a", "b", "k", "k", 1, 2, []string{"x"}, "y", nil); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "a",
+		Join: &dbest.JoinSpec{Table: "b", LeftKey: "k", RightKey: "k",
+			Sampled: true, SampleNum: 1, SampleDenom: 2},
+		XCols: []string{"x"}, YCol: "y",
+	}); err == nil {
 		t.Fatal("want error for unregistered tables")
 	}
 }
@@ -86,8 +96,10 @@ func TestRegressorChoices(t *testing.T) {
 		if err := eng.RegisterTable(tb); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Train("store_sales", []string{"ss_list_price"}, "ss_wholesale_cost",
-			&dbest.TrainOptions{SampleSize: 5000, Seed: 22, Regressor: reg}); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "store_sales", XCols: []string{"ss_list_price"},
+			YCol: "ss_wholesale_cost", SampleSize: 5000, Seed: 22, Regressor: reg,
+		}); err != nil {
 			t.Fatalf("%s: %v", reg, err)
 		}
 		res, err := eng.Query(`SELECT AVG(ss_wholesale_cost) FROM store_sales
@@ -102,8 +114,10 @@ func TestRegressorChoices(t *testing.T) {
 	// Unknown family must fail cleanly.
 	eng := dbest.New(nil)
 	_ = eng.RegisterTable(tb)
-	if _, err := eng.Train("store_sales", []string{"ss_list_price"}, "ss_wholesale_cost",
-		&dbest.TrainOptions{Regressor: "forest"}); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_wholesale_cost",
+		Regressor: "forest",
+	}); err == nil {
 		t.Fatal("want error for unknown regressor")
 	}
 }

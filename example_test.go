@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,8 +28,9 @@ func ExampleEngine() {
 	if err := eng.RegisterTable(tb); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Train("toy", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 4000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "toy", XCols: []string{"x"}, YCol: "y", SampleSize: 4000, Seed: 1,
+	}); err != nil {
 		log.Fatal(err)
 	}
 	res, err := eng.Query("SELECT AVG(y) FROM toy WHERE x BETWEEN 4000 AND 6000")
@@ -57,8 +59,9 @@ func ExampleEngine_Explain() {
 	if err := eng.RegisterTable(tb); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := eng.Train("t", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 500, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "t", XCols: []string{"x"}, YCol: "y", SampleSize: 500, Seed: 1,
+	}); err != nil {
 		log.Fatal(err)
 	}
 	p, err := eng.Explain("SELECT SUM(y) FROM t WHERE x BETWEEN 10 AND 90")

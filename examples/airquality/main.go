@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,14 +24,17 @@ func main() {
 
 	// Univariate models for single-predictor questions.
 	for _, x := range []string{"IWS", "TEMP", "DEWP"} {
-		if _, err := eng.Train("beijing", []string{x}, "PM25",
-			&dbest.TrainOptions{SampleSize: 10_000, Seed: 11}); err != nil {
+		if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "beijing", XCols: []string{x}, YCol: "PM25", SampleSize: 10_000, Seed: 11,
+		}); err != nil {
 			log.Fatal(err)
 		}
 	}
 	// A multivariate model for joint wind × temperature predicates.
-	if _, err := eng.Train("beijing", []string{"IWS", "TEMP"}, "PM25",
-		&dbest.TrainOptions{SampleSize: 8_000, Seed: 11}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "beijing", XCols: []string{"IWS", "TEMP"}, YCol: "PM25", SampleSize: 8_000,
+		Seed: 11,
+	}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,8 +24,10 @@ func main() {
 	}
 
 	// One (D, R) model pair per value of the nominal ss_channel column.
-	info, err := eng.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_channel",
-		&dbest.TrainOptions{SampleSize: 10_000, Seed: 9})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price",
+		NominalBy: "ss_channel", SampleSize: 10_000, Seed: 9,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,8 +47,10 @@ func main() {
 	}
 
 	// The analytics API runs on any trained univariate model pair.
-	if _, err := eng.Train("store_sales", []string{"ss_list_price"}, "ss_wholesale_cost",
-		&dbest.TrainOptions{SampleSize: 10_000, Seed: 9}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_wholesale_cost",
+		SampleSize: 10_000, Seed: 9,
+	}); err != nil {
 		log.Fatal(err)
 	}
 

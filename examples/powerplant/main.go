@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -26,8 +27,8 @@ func main() {
 	}
 	// Train one model pair per predictor of interest.
 	for _, x := range []string{"T", "AP", "RH"} {
-		info, err := eng.Train("ccpp", []string{x}, "EP", &dbest.TrainOptions{
-			SampleSize: 10_000, Seed: 7,
+		info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "ccpp", XCols: []string{x}, YCol: "EP", SampleSize: 10_000, Seed: 7,
 		})
 		if err != nil {
 			log.Fatal(err)

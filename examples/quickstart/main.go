@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -36,9 +37,8 @@ func main() {
 	if err := eng.RegisterTable(tb); err != nil {
 		log.Fatal(err)
 	}
-	info, err := eng.Train("sensor", []string{"ts"}, "temp", &dbest.TrainOptions{
-		SampleSize: 10_000,
-		Seed:       1,
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "sensor", XCols: []string{"ts"}, YCol: "temp", SampleSize: 10_000, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

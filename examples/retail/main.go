@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,8 +32,10 @@ func main() {
 
 	// Per-store models: one (D, R) pair per ss_store_sk value, trained in
 	// parallel, sized ~2k sample rows per group.
-	info, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 2_000, GroupBy: "ss_store_sk", Seed: 3})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 2_000, GroupBy: "ss_store_sk", Seed: 3,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,9 +59,12 @@ func main() {
 	// Join support (§2.2 approach 1): precompute store_sales ⨝ store,
 	// sample it, train, discard. Queries then range over the dimension
 	// attribute without any join at query time.
-	jinfo, err := eng.TrainJoin("store_sales", "store", "ss_store_sk", "s_store_sk",
-		[]string{"s_number_of_employees"}, "ss_net_profit",
-		&dbest.TrainOptions{SampleSize: 10_000, Seed: 3})
+	jinfo, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales",
+		Join:  &dbest.JoinSpec{Table: "store", LeftKey: "ss_store_sk", RightKey: "s_store_sk"},
+		XCols: []string{"s_number_of_employees"}, YCol: "ss_net_profit",
+		SampleSize: 10_000, Seed: 3,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -29,20 +30,28 @@ func TestExplainGolden(t *testing.T) {
 	if err := eng.RegisterTable(store); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 3000, Seed: 12}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 3000, Seed: 12,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_list_price"}, "ss_net_profit",
-		&dbest.TrainOptions{SampleSize: 2000, Seed: 12, GroupBy: "ss_store_sk"}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_net_profit",
+		SampleSize: 2000, Seed: 12, GroupBy: "ss_store_sk",
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_channel",
-		&dbest.TrainOptions{SampleSize: 2000, Seed: 12}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price",
+		NominalBy: "ss_channel", SampleSize: 2000, Seed: 12,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TrainSharded("store_sales", "ss_wholesale_cost", "ss_quantity", 8,
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 12}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_wholesale_cost"}, YCol: "ss_quantity",
+		Shards: 8, SampleSize: 1000, Seed: 12,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec("CREATE SKETCH dates ON store_sales(ss_sold_date_sk) TYPE HLL"); err != nil {

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,8 +42,10 @@ func TestExplainNominal(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_channel",
-		&dbest.TrainOptions{SampleSize: 2000, Seed: 61}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price",
+		NominalBy: "ss_channel", SampleSize: 2000, Seed: 61,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := eng.Explain(`SELECT AVG(ss_sales_price) FROM store_sales
@@ -80,12 +83,16 @@ func TestExplainOperatorTrees(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 3000, Seed: 12}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 3000, Seed: 12,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 2000, Seed: 12, GroupBy: "ss_store_sk"}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 2000, Seed: 12, GroupBy: "ss_store_sk",
+	}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -97,8 +98,10 @@ func TestGridOffTrainsAndServesOnQuadrature(t *testing.T) {
 	if err := eng.RegisterTable(streamTable(3000, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("stream", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 1, GridKnots: -1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "stream", XCols: []string{"x"}, YCol: "y", SampleSize: 1000, Seed: 1,
+		GridKnots: -1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	avgSQL := "SELECT AVG(y) FROM stream WHERE x BETWEEN 200 AND 800"

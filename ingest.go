@@ -143,8 +143,8 @@ func (e *Engine) AppendTable(tbl string, src *Table) (int, error) {
 type Staleness = ingest.Staleness
 
 // ModelStaleness reports the staleness ledger for every tracked model set,
-// sorted by catalog key. Models loaded via LoadModels are not tracked
-// until they are retrained through a Train call.
+// sorted by catalog key. Models loaded via LoadModels are tracked when they
+// carry a spec (see LoadModels).
 func (e *Engine) ModelStaleness() []Staleness { return e.ledger.Snapshot() }
 
 // RefreshOptions tunes the background auto-refresher; see
@@ -191,7 +191,8 @@ func (e *Engine) StopRefresher() {
 }
 
 // RefreshNow asks a running refresher to scan the ledger immediately
-// instead of waiting for its next tick. It never blocks.
+// instead of waiting for its next tick; the next periodic scan follows one
+// Interval after the requested one. It never blocks.
 func (e *Engine) RefreshNow() {
 	e.refMu.Lock()
 	r := e.refresher
@@ -217,41 +218,65 @@ func (e *Engine) RefreshStats() RefreshStats {
 	return last
 }
 
+// track registers a model set of any kind with the staleness ledger — what
+// a sharded build and a catalog load, which meet every kind, go through. A
+// sketch absorbs appended values in place, a shard member accrues only the
+// rows landing in its range, and everything else is a whole-model entry:
+// that includes a sharded build that collapsed to one plain set, whose
+// retrain re-executes the spec at the requested K, so a refresh re-shards
+// once the column's values support distinct cuts. baseRows is the watched
+// tables' row count the set was built from.
+func (e *Engine) track(ms *core.ModelSet, spec *ModelSpec, baseRows int) {
+	switch {
+	case ms.Sketch != nil:
+		e.registerAbsorb(ms, spec, baseRows)
+	case ms.Shards > 1:
+		e.trackShard(ms, spec, baseRows)
+	default:
+		e.trackModel(ms, spec, baseRows)
+	}
+}
+
+// liveRows sums the current row counts of the named registered tables.
+func (e *Engine) liveRows(tables []string) int {
+	n := 0
+	for _, t := range tables {
+		if tb := e.Table(t); tb != nil {
+			n += tb.NumRows()
+		}
+	}
+	return n
+}
+
 // trackModel registers a freshly trained model set with the staleness
-// ledger. Models trained from a single uniform reservoir (one base table,
-// no GROUP BY, no nominal split) maintain an exact mirror of the training
-// sampler — same capacity and seed, fast-forwarded over the base rows — so
-// appended rows continue the training sample stream and FracReplaced
-// reports real sample drift. Join, GROUP BY and nominal models sample
-// per-group/per-value streams that a single mirror cannot represent, so
-// they track ingested-row fractions only. Rows appended while the training
+// ledger; the spec names the tables to watch and is what a retrain
+// re-executes. Models trained from a single uniform reservoir (one base
+// table, no GROUP BY, no nominal split) maintain an exact mirror of the
+// training sampler — the spec's capacity and seed, fast-forwarded over the
+// base rows — so appended rows continue the training sample stream and
+// FracReplaced reports real sample drift. Join, GROUP BY and nominal models
+// sample per-group/per-value streams that a single mirror cannot represent,
+// so they track ingested-row fractions only. Rows appended while the training
 // ran are credited as already-ingested (curRows vs baseRows) instead of
 // being silently dropped by the ledger reset. The registration runs under
 // appendMu so the live row count and the Register are atomic with respect
 // to concurrent Appends — otherwise an append landing between the two
 // would be double-counted (curRows already has it, ledger.Append adds it
 // again) or lost (notified on the entry Register is about to replace).
-func (e *Engine) trackModel(ms *core.ModelSet, tables []string, baseRows int, opts *TrainOptions, retrain ingest.RetrainFunc) {
-	resCap, seed := 0, int64(0)
-	if opts != nil {
-		seed = opts.Seed
-	}
+func (e *Engine) trackModel(ms *core.ModelSet, spec *ModelSpec, baseRows int) {
+	tables := spec.watchTables()
+	resCap := 0
 	if len(tables) == 1 && ms.GroupBy == "" && ms.NominalBy == "" {
 		resCap = core.DefaultSampleSize
-		if opts != nil && opts.SampleSize > 0 {
-			resCap = opts.SampleSize
+		if spec.SampleSize > 0 {
+			resCap = spec.SampleSize
 		}
 	}
 	e.appendMu.Lock()
 	defer e.appendMu.Unlock()
-	curRows := 0
-	for _, t := range tables {
-		if tb := e.Table(t); tb != nil {
-			curRows += tb.NumRows()
-		}
-	}
+	curRows := e.liveRows(tables)
 	if curRows < baseRows {
 		curRows = baseRows
 	}
-	e.ledger.Register(ms.Key(), tables, baseRows, curRows, resCap, seed, retrain)
+	e.ledger.Register(ms.Key(), tables, baseRows, curRows, resCap, spec.Seed, e.specRetrain(spec))
 }

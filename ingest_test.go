@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -18,8 +19,9 @@ func newStreamEngine(tb testing.TB, rows int) *dbest.Engine {
 	if err := eng.RegisterTable(streamTable(rows, 1)); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := eng.Train("stream", []string{"x"}, "y",
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "stream", XCols: []string{"x"}, YCol: "y", SampleSize: 1000, Seed: 1,
+	}); err != nil {
 		tb.Fatal(err)
 	}
 	return eng

@@ -191,7 +191,7 @@ func (c *Catalog) ReplaceShards(sets []*core.ModelSet) []string {
 
 // ReplaceMember overwrites the model set whose exact key is already
 // present, reporting whether it did. It is the per-shard refresh commit: a
-// background retrain may race a TrainSharded that replaced the whole
+// background retrain may race a sharded build that replaced the whole
 // ensemble (possibly with a different shard count), and blindly Putting
 // the finished member would resurrect a stray key from the dead ensemble —
 // an incomplete ghost that SaveModels could no longer round-trip. If the

@@ -91,6 +91,8 @@ func ReadEvalCounters() EvalCounters {
 
 // ResetEvalCounters zeroes the evaluation-kernel counters (tests and A/B
 // benchmarks).
+//
+//lint:deadexport test support: the kernel tests of core and exec zero the process-wide counters before counting
 func ResetEvalCounters() {
 	gridHits.Store(0)
 	gridFallbacks.Store(0)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -171,11 +172,11 @@ func kernelSets(t *testing.T) (plain, grouped, nominal *ModelSet, sharded []*Mod
 	t.Helper()
 	plain = trainLin(t, mixTable(8000, 4), 2000)
 	grouped = trainGroupedSet(t, groupTable(3))
-	nominal, err := TrainNominal(nominalTable(), "x", "y", "ch", &TrainConfig{SampleSize: 500, Seed: 1, MinGroupModel: 30})
+	nominal, err := TrainNominalContext(context.Background(), nominalTable(), "x", "y", "ch", &TrainConfig{SampleSize: 500, Seed: 1, MinGroupModel: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err = TrainSharded(linTable(20000, 6), "x", "y", 4, &TrainConfig{SampleSize: 4000, Seed: 2})
+	sharded, err = TrainShardedContext(context.Background(), linTable(20000, 6), "x", "y", 4, &TrainConfig{SampleSize: 4000, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

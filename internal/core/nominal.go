@@ -21,15 +21,11 @@ import (
 //
 // from the model trained on that value's rows.
 
-// TrainNominal builds a ModelSet holding one model pair (xcol → ycol) per
-// distinct value of the String column nominalBy. cfg.SampleSize applies per
-// value; values whose sample is below cfg.MinGroupModel keep raw tuples.
-func TrainNominal(tb *table.Table, xcol, ycol, nominalBy string, cfg *TrainConfig) (*ModelSet, error) {
-	return TrainNominalContext(context.Background(), tb, xcol, ycol, nominalBy, cfg)
-}
-
-// TrainNominalContext is TrainNominal with cancellation: a canceled ctx
-// aborts between per-value model fits and returns the context's error.
+// TrainNominalContext builds a ModelSet holding one model pair (xcol → ycol)
+// per distinct value of the String column nominalBy. cfg.SampleSize applies
+// per value; values whose sample is below cfg.MinGroupModel keep raw tuples.
+// A canceled ctx aborts between per-value model fits and returns the
+// context's error.
 func TrainNominalContext(ctx context.Context, tb *table.Table, xcol, ycol, nominalBy string, cfg *TrainConfig) (*ModelSet, error) {
 	c := cfg.withDefaults()
 	if tb.NumRows() == 0 {

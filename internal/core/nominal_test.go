@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"testing"
@@ -35,7 +36,7 @@ func nominalTable() *table.Table {
 
 func TestTrainNominalCore(t *testing.T) {
 	tb := nominalTable()
-	ms, err := TrainNominal(tb, "x", "y", "ch", &TrainConfig{SampleSize: 2000, Seed: 1})
+	ms, err := TrainNominalContext(context.Background(), tb, "x", "y", "ch", &TrainConfig{SampleSize: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,23 +79,23 @@ func TestTrainNominalCore(t *testing.T) {
 
 func TestTrainNominalErrorsCore(t *testing.T) {
 	tb := nominalTable()
-	if _, err := TrainNominal(table.New("e"), "x", "y", "ch", nil); err == nil {
+	if _, err := TrainNominalContext(context.Background(), table.New("e"), "x", "y", "ch", nil); err == nil {
 		t.Fatal("want error for empty table")
 	}
-	if _, err := TrainNominal(tb, "nope", "y", "ch", nil); err == nil {
+	if _, err := TrainNominalContext(context.Background(), tb, "nope", "y", "ch", nil); err == nil {
 		t.Fatal("want error for missing x")
 	}
-	if _, err := TrainNominal(tb, "x", "nope", "ch", nil); err == nil {
+	if _, err := TrainNominalContext(context.Background(), tb, "x", "nope", "ch", nil); err == nil {
 		t.Fatal("want error for missing y")
 	}
-	if _, err := TrainNominal(tb, "x", "y", "x", nil); err == nil {
+	if _, err := TrainNominalContext(context.Background(), tb, "x", "y", "x", nil); err == nil {
 		t.Fatal("want error for non-string nominal column")
 	}
 }
 
 func TestNominalCountScalesWithScale(t *testing.T) {
 	tb := nominalTable()
-	ms, err := TrainNominal(tb, "x", "y", "ch", &TrainConfig{SampleSize: 2000, Seed: 1, Scale: 100})
+	ms, err := TrainNominalContext(context.Background(), tb, "x", "y", "ch", &TrainConfig{SampleSize: 2000, Seed: 1, Scale: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestNominalCountScalesWithScale(t *testing.T) {
 func TestTrainNominalDeterministic(t *testing.T) {
 	tb := nominalTable()
 	encode := func() []byte {
-		ms, err := TrainNominal(tb, "x", "y", "ch", &TrainConfig{SampleSize: 300, Seed: 5, MinGroupModel: 30})
+		ms, err := TrainNominalContext(context.Background(), tb, "x", "y", "ch", &TrainConfig{SampleSize: 300, Seed: 5, MinGroupModel: 30})
 		if err != nil {
 			t.Fatal(err)
 		}

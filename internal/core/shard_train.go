@@ -18,19 +18,14 @@ import (
 // derivation lives here rather than being duplicated.
 func ShardSeed(seed int64, shardIdx int) int64 { return seed + int64(shardIdx)*7919 }
 
-// TrainSharded partitions tb's rows into up to shards contiguous range
-// shards on xcol (quantile cut points, so shards hold near-equal row
+// TrainShardedContext partitions tb's rows into up to shards contiguous
+// range shards on xcol (quantile cut points, so shards hold near-equal row
 // counts) and trains one independent model pair per shard over a per-shard
 // reservoir sample. Heavy value ties can collapse cut points, so the
 // returned ensemble may be smaller than requested; with a single resulting
 // shard the set is a plain unsharded model. Sharding composes with neither
-// GROUP BY nor multivariate predicates.
-func TrainSharded(tb *table.Table, xcol, ycol string, shards int, cfg *TrainConfig) ([]*ModelSet, error) {
-	return TrainShardedContext(context.Background(), tb, xcol, ycol, shards, cfg)
-}
-
-// TrainShardedContext is TrainSharded with cancellation: a canceled ctx
-// aborts at the next per-shard fit boundary.
+// GROUP BY nor multivariate predicates. A canceled ctx aborts at the next
+// per-shard fit boundary.
 func TrainShardedContext(ctx context.Context, tb *table.Table, xcol, ycol string, shards int, cfg *TrainConfig) ([]*ModelSet, error) {
 	c := cfg.withDefaults()
 	if c.GroupBy != "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestTrainShardedEnsemble(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 20000, Seed: 5})
-	sets, err := TrainSharded(tb, "ss_sold_date_sk", "ss_sales_price", 4,
+	sets, err := TrainShardedContext(context.Background(), tb, "ss_sold_date_sk", "ss_sales_price", 4,
 		&TrainConfig{SampleSize: 2000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +45,7 @@ func TestTrainShardedEnsemble(t *testing.T) {
 
 func TestTrainShardedRejectsGroupBy(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 2000, Seed: 5})
-	if _, err := TrainSharded(tb, "ss_sold_date_sk", "ss_sales_price", 4,
+	if _, err := TrainShardedContext(context.Background(), tb, "ss_sold_date_sk", "ss_sales_price", 4,
 		&TrainConfig{GroupBy: "ss_store_sk"}); err == nil {
 		t.Fatal("want error for GROUP BY sharded training")
 	}
@@ -55,7 +56,7 @@ func TestTrainShardedRejectsGroupBy(t *testing.T) {
 // as well as an unsharded model does.
 func TestShardedPartialsMergeToUnshardedAnswer(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 30000, Seed: 9})
-	sets, err := TrainSharded(tb, "ss_sold_date_sk", "ss_sales_price", 4,
+	sets, err := TrainShardedContext(context.Background(), tb, "ss_sold_date_sk", "ss_sales_price", 4,
 		&TrainConfig{SampleSize: 4000, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func MergeCountForTest(ps []shard.Partial) float64 { return shard.MergeCount(ps)
 
 func TestTrainShardModelRetrainsOneShard(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 10000, Seed: 3})
-	sets, err := TrainSharded(tb, "ss_sold_date_sk", "ss_sales_price", 4,
+	sets, err := TrainShardedContext(context.Background(), tb, "ss_sold_date_sk", "ss_sales_price", 4,
 		&TrainConfig{SampleSize: 1000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

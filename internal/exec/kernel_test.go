@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -57,7 +58,7 @@ func spanEnv(sp [2]float64) *Env {
 // poisoned shards reproduce the clean answers and bounds bit for bit.
 func TestShardMergePoisonedDensity(t *testing.T) {
 	tb := linearTable(t, 20000)
-	sets, err := core.TrainSharded(tb, "x", "y", 4, &core.TrainConfig{SampleSize: 4000, Seed: 3})
+	sets, err := core.TrainShardedContext(context.Background(), tb, "x", "y", 4, &core.TrainConfig{SampleSize: 4000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

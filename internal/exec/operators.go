@@ -213,7 +213,7 @@ func (g *GroupMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 }
 
 // RawGroupEval is the GroupMerge leaf answering the small groups kept as raw
-// sample tuples instead of models (below TrainOptions.MinGroupModel); those
+// sample tuples instead of models (below ModelSpec.MinGroupModel); those
 // groups are aggregated exactly over their retained tuples.
 type RawGroupEval struct {
 	MS *core.ModelSet

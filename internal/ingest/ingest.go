@@ -42,7 +42,7 @@ type Ledger struct {
 	mu      sync.Mutex
 	entries map[string]*entry
 
-	pendMu  sync.Mutex
+	pendMu  sync.Mutex // alone on the append path; inside mu when reconcile drains
 	pending []pendingAppend
 }
 
@@ -309,17 +309,17 @@ func (l *Ledger) Sync() { l.reconcile() }
 
 // reconcile drains the pending-credit queue and applies each credit in
 // enqueue order. Every path that reads or mutates the entry map calls it
-// first, so batching is invisible to observers.
+// first, so batching is invisible to observers. The queue is drained under
+// l.mu: a caller that finds it empty because another goroutine took the
+// batch a moment ago waits here until that batch is applied, rather than
+// reading entries the credits have not reached yet.
 func (l *Ledger) reconcile() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.pendMu.Lock()
 	batch := l.pending
 	l.pending = nil
 	l.pendMu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, p := range batch {
 		l.applyLocked(p)
 	}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -196,6 +197,38 @@ func TestRefresherRetrainsStaleModels(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("refresher stats never recorded the refresh")
+}
+
+// A kick restarts the scan interval: the periodic scan that was due shortly
+// after it is put off to one full Interval later.
+func TestKickRestartsInterval(t *testing.T) {
+	const interval = 400 * time.Millisecond
+	r := NewRefresher(NewLedger(), &RefresherOptions{Interval: interval})
+	r.Start()
+	defer r.Stop()
+
+	time.Sleep(interval * 3 / 4) // the ticker's own tick is now interval/4 away
+	r.Kick()
+	kicked := time.Now()
+	for r.Stats().Scans == 0 {
+		if time.Since(kicked) > 5*time.Second {
+			t.Fatal("kick never scanned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(interval * 5 / 8)
+	if late := time.Since(kicked); late > interval*7/8 {
+		t.Skipf("box too contended to tell: woke %v after the kick", late)
+	}
+	if n := r.Stats().Scans; n != 1 {
+		t.Fatalf("%d scans %v after the kick, want 1: the old tick still fired", n, time.Since(kicked))
+	}
+	for r.Stats().Scans < 2 {
+		if time.Since(kicked) > 5*time.Second {
+			t.Fatal("no periodic scan after the kick")
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestRefresherRecordsFailures(t *testing.T) {
@@ -438,5 +471,29 @@ func TestClaimOnlyDirtyShard(t *testing.T) {
 	// out again while the retrain is in flight.
 	if again := l.claim(0.1, 1); len(again) != 0 {
 		t.Fatalf("double-claimed %d shards while refreshing", len(again))
+	}
+}
+
+// A Sync that finds the credit queue empty because another goroutine has
+// just taken the batch must not return before that batch is applied.
+func TestSyncWaitsForConcurrentDrain(t *testing.T) {
+	l := NewLedger()
+	var absorbed atomic.Int64
+	l.RegisterAbsorb("s", []string{"t"}, "x", 0, func(fs []float64, _ []string) {
+		time.Sleep(100 * time.Microsecond) // hold the drain open
+		absorbed.Add(int64(len(fs)))
+	}, nil)
+	vals := func(string) []float64 { return []float64{1} }
+	for i := int64(1); i <= 200; i++ {
+		l.Append("t", 1, vals)
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() { close(started); l.Sync(); close(done) }()
+		<-started
+		runtime.Gosched()
+		l.Sync()
+		if got := absorbed.Load(); got != i {
+			t.Fatalf("after append %d and Sync the sketch absorbed %d values", i, got)
+		}
+		<-done
 	}
 }

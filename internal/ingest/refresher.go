@@ -118,6 +118,13 @@ func (r *Refresher) Start() {
 				return
 			case <-tick.C:
 			case <-r.kick:
+				// A requested scan restarts the interval: the next periodic
+				// scan is one Interval after this one, wherever the ticker's
+				// own phase stood. A caller that kicks, sees the ledger idle
+				// and then appends a bulk load therefore has the load's first
+				// Interval to itself, instead of a tick due at an arbitrary
+				// moment retraining over however much of it has landed.
+				tick.Reset(r.opts.Interval)
 			}
 			r.scans.Add(1)
 			for _, c := range r.ledger.claim(r.opts.Threshold, r.opts.MinRows) {
@@ -135,7 +142,8 @@ func (r *Refresher) Start() {
 }
 
 // Kick triggers an immediate ledger scan without waiting for the next
-// tick. It never blocks; a scan already pending absorbs the kick.
+// tick, and restarts the interval from that scan. It never blocks; a scan
+// already pending absorbs the kick.
 func (r *Refresher) Kick() {
 	select {
 	case r.kick <- struct{}{}:

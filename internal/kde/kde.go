@@ -127,6 +127,8 @@ type Exact struct {
 
 // NewExact builds an exact Gaussian KDE over data with the given bandwidth;
 // pass h <= 0 to select by Silverman's rule. The data slice is copied.
+//
+//lint:deadexport test oracle: the closed-form KDE the binned estimator and the grids are checked against
 func NewExact(data []float64, h float64) (*Exact, error) {
 	if len(data) == 0 {
 		return nil, errors.New("kde: empty sample")

@@ -294,6 +294,8 @@ func CumulativeGK15(f func(x float64, out []float64), m int, knots []float64, wo
 // Integrate2D computes the double integral of f over [ax,bx] × [ay,by] using
 // a tensor product of the (G7, K15) rule with adaptive refinement on the
 // outer variable. This serves the multivariate aggregates of Eq. 10.
+//
+//lint:deadexport test oracle: the multivariate KDE's box masses are checked against it
 func Integrate2D(f func(x, y float64) float64, ax, bx, ay, by float64, opts *Options) (Result, error) {
 	inner := func(x float64) float64 {
 		r, _ := Integrate(func(y float64) float64 { return f(x, y) }, ay, by, opts)
@@ -343,6 +345,8 @@ func FixedTensor2D(f func(x, y float64) float64, ax, bx, ay, by float64, panels 
 // Simpson computes ∫_a^b f with composite Simpson's rule on n panels
 // (n rounded up to even). It is the simple fallback integrator and a test
 // oracle for the adaptive rule.
+//
+//lint:deadexport test oracle for the adaptive rule and the grid tables
 func Simpson(f func(float64) float64, a, b float64, n int) float64 {
 	if n < 2 {
 		n = 2

@@ -8,7 +8,6 @@ package sample
 
 import (
 	"errors"
-	"hash/maphash"
 	"math"
 	"math/rand"
 
@@ -273,10 +272,12 @@ func Stratified(tb *table.Table, stratCol string, k, minPer int, seed int64) (ma
 }
 
 // Hashed performs universe ("hashed") sampling on a join-key column: a row
-// is kept iff hash(key) mod denom < num. Applying the same (num, denom,
+// is kept iff hash(key, seed) mod denom < num. Applying the same (num, denom,
 // seed) to both join sides preserves join pairs, which is what makes
-// sample-joins statistically sound (VerdictDB/QuickR §2.2).
-func Hashed(tb *table.Table, keyCol string, num, denom uint64, seed maphash.Seed) ([]int, error) {
+// sample-joins statistically sound (VerdictDB/QuickR §2.2). The hash is the
+// same in every process, so a seed names one band of keys for good: a
+// seeded build is reproducible, across restarts too.
+func Hashed(tb *table.Table, keyCol string, num, denom, seed uint64) ([]int, error) {
 	c := tb.Column(keyCol)
 	if c == nil {
 		return nil, errors.New("sample: no key column " + keyCol)
@@ -287,17 +288,26 @@ func Hashed(tb *table.Table, keyCol string, num, denom uint64, seed maphash.Seed
 	if denom == 0 || num > denom {
 		return nil, errors.New("sample: invalid sampling ratio")
 	}
+	// The odd multiplier spreads a small seed over all 64 bits, so the bands
+	// of neighbouring seeds are unrelated rather than one band with pairs of
+	// keys swapped.
+	seed *= 0x9e3779b97f4a7c15
 	var out []int
-	var buf [8]byte
 	for i, v := range c.Ints {
-		u := uint64(v)
-		for b := 0; b < 8; b++ {
-			buf[b] = byte(u >> (8 * b))
-		}
-		h := maphash.Bytes(seed, buf[:])
-		if h%denom < num {
+		if mix64(uint64(v)^seed)%denom < num {
 			out = append(out, i)
 		}
 	}
 	return out, nil
+}
+
+// mix64 is the 64-bit Murmur3 finalizer: a bijection whose every output bit
+// depends on every input bit.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

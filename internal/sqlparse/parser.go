@@ -421,31 +421,3 @@ func (q *Query) CheckBinds(b []Bind) error {
 	}
 	return nil
 }
-
-// Lift is Shape for a query that never was text: it returns a copy of q with
-// its literals renumbered into a fresh bind vector, and that vector. Slots of
-// a hand-assembled Query mean nothing; Lift is how such a query gets them.
-func (q *Query) Lift() (*Query, []Bind) {
-	c := *q
-	c.Aggregates = append([]Aggregate(nil), q.Aggregates...)
-	c.Where = append([]Predicate(nil), q.Where...)
-	c.Equals = append([]Equality(nil), q.Equals...)
-	var b []Bind
-	for i := range c.Aggregates {
-		if a := &c.Aggregates[i]; a.HasP {
-			a.PSlot = len(b)
-			b = append(b, Bind{Num: a.P})
-		}
-	}
-	for i := range c.Equals {
-		c.Equals[i].Slot = len(b)
-		b = append(b, Bind{Str: c.Equals[i].Value})
-	}
-	for i := range c.Where {
-		p := &c.Where[i]
-		p.LbSlot, p.UbSlot = len(b), len(b)+1
-		b = append(b, Bind{Num: p.Lb}, Bind{Num: p.Ub})
-	}
-	c.Binds = len(b)
-	return &c, b
-}

@@ -129,27 +129,6 @@ func TestCheckBinds(t *testing.T) {
 	}
 }
 
-func TestLift(t *testing.T) {
-	// Hand-assembled: no slots at all.
-	q := &Query{
-		Aggregates: []Aggregate{{Func: "AVG", Column: "y"}, {Func: "PERCENTILE", Column: "x", P: 0.9, HasP: true}},
-		Table:      "t",
-		Where:      []Predicate{{Column: "x", Lb: 1, Ub: 2}, {Column: "z", Lb: 3, Ub: 4}},
-		Equals:     []Equality{{Column: "c", Value: "web"}},
-	}
-	l, binds := q.Lift()
-	if l.Binds != len(binds) || l.CheckBinds(binds) != nil {
-		t.Fatalf("lifted %+v with %v", l, binds)
-	}
-	if binds[l.Aggregates[1].PSlot].Num != 0.9 || binds[l.Equals[0].Slot].Str != "web" ||
-		binds[l.Where[1].LbSlot].Num != 3 || binds[l.Where[1].UbSlot].Num != 4 {
-		t.Fatalf("slots do not address the literals: %+v %v", l, binds)
-	}
-	if q.Where[1].LbSlot != 0 || q.Binds != 0 {
-		t.Fatalf("Lift modified its receiver: %+v", q)
-	}
-}
-
 func TestParseTrailingSemicolons(t *testing.T) {
 	mustParse(t, "SELECT COUNT(*) FROM t;;")
 	if _, err := Parse("SELECT COUNT(*) ; FROM t"); err == nil {

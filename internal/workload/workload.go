@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"dbest/internal/exact"
 	"dbest/internal/table"
@@ -138,42 +137,6 @@ func Mean(xs []float64) float64 {
 		s += v
 	}
 	return s / float64(len(xs))
-}
-
-// ErrStats summarizes a batch of per-query relative errors.
-type ErrStats struct {
-	N        int
-	Mean     float64
-	Median   float64
-	Max      float64
-	Min      float64
-	Variance float64
-}
-
-// Summarize computes ErrStats over relative errors.
-func Summarize(errs []float64) ErrStats {
-	st := ErrStats{N: len(errs)}
-	if len(errs) == 0 {
-		st.Mean, st.Median, st.Max, st.Min = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-		return st
-	}
-	sorted := append([]float64(nil), errs...)
-	sort.Float64s(sorted)
-	st.Min = sorted[0]
-	st.Max = sorted[len(sorted)-1]
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		st.Median = sorted[mid]
-	} else {
-		st.Median = 0.5 * (sorted[mid-1] + sorted[mid])
-	}
-	st.Mean = Mean(errs)
-	for _, v := range errs {
-		d := v - st.Mean
-		st.Variance += d * d
-	}
-	st.Variance /= float64(len(errs))
-	return st
 }
 
 // Histogram bins values into equal-width buckets over [0, max] — the error

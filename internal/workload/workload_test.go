@@ -124,24 +124,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	st := Summarize([]float64{0.1, 0.2, 0.3, 0.4})
-	if st.N != 4 || math.Abs(st.Mean-0.25) > 1e-12 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if math.Abs(st.Median-0.25) > 1e-12 || st.Min != 0.1 || st.Max != 0.4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	odd := Summarize([]float64{3, 1, 2})
-	if odd.Median != 2 {
-		t.Fatalf("median = %v", odd.Median)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Mean) {
-		t.Fatalf("empty stats = %+v", empty)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{0.01, 0.02, 0.05, 0.11, 0.5}, 10, 0.2)
 	total := 0

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"testing"
 
 	"dbest"
@@ -46,8 +47,10 @@ func nominalEngine(t *testing.T) (*dbest.Engine, *dbest.Table) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eng.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_channel",
-		&dbest.TrainOptions{SampleSize: 6000, Seed: 31})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price",
+		NominalBy: "ss_channel", SampleSize: 6000, Seed: 31,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +154,23 @@ func TestNominalFallbackWithoutModels(t *testing.T) {
 
 func TestTrainNominalErrors(t *testing.T) {
 	eng := dbest.New(nil)
-	if _, err := eng.TrainNominal("ghost", "x", "y", "z", nil); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "ghost", XCols: []string{"x"}, YCol: "y", NominalBy: "z",
+	}); err == nil {
 		t.Fatal("want error for unregistered table")
 	}
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 1000, Seed: 33})
 	_ = eng.RegisterTable(tb)
-	if _, err := eng.TrainNominal("store_sales", "nope", "ss_sales_price", "ss_channel", nil); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"nope"}, YCol: "ss_sales_price",
+		NominalBy: "ss_channel",
+	}); err == nil {
 		t.Fatal("want error for missing x column")
 	}
-	if _, err := eng.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_store_sk", nil); err == nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price",
+		NominalBy: "ss_store_sk",
+	}); err == nil {
 		t.Fatal("want error for non-string nominal column")
 	}
 }

@@ -102,7 +102,7 @@ func (e *Engine) Prepare(sql string) (*PreparedQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh, err := e.resolve(e.snap.Load(), key, sql, nil)
+	sh, err := e.resolve(e.snap.Load(), key, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -123,32 +123,27 @@ const (
 // resolve returns the planned shape of one statement under snap — the only
 // place a query is planned. key is the statement's shape key: a cached plan
 // of snap's generation is returned as is; on a miss sql is parsed (once),
-// planned and cached. A statement that arrives parsed (q != nil, no key) is
-// planned afresh and not cached.
-func (e *Engine) resolve(snap *engineSnap, key []byte, sql string, q *sqlparse.Query) (*shape, error) {
-	if q == nil {
-		if sh := e.plans.get(key, snap.cat.Generation()); sh != nil {
-			return sh, nil
-		}
-		var err error
-		if q, err = sqlparse.Parse(sql); err != nil {
-			return nil, err
-		}
+// planned and cached.
+func (e *Engine) resolve(snap *engineSnap, key []byte, sql string) (*shape, error) {
+	if sh := e.plans.get(key, snap.cat.Generation()); sh != nil {
+		return sh, nil
+	}
+	q, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, err
 	}
 	sh, err := e.planSnap(q, snap)
 	if err != nil {
 		return nil, err
 	}
-	if key != nil {
-		e.plans.put(key, sh)
-	}
+	e.plans.put(key, sh)
 	return sh, nil
 }
 
 // serve executes one planned shape with one statement's bind vector against
 // snap — the one execution path behind Query, PreparedQuery.Run and
-// RunBatch, Engine.Run and QueryBatch. It applies the grammar's
-// value-dependent checks to the binds (a statement served from a shape that
+// RunBatch, and QueryBatch. It applies the grammar's value-dependent checks
+// to the binds (a statement served from a shape that
 // was cached for other literals is rejected exactly as the parser would
 // have), routes WITHIN queries, and stamps nothing: the caller times the
 // call. src, when non-nil, is the exact path's pre-opened source table

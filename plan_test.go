@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -113,8 +114,10 @@ func TestPlanCacheInvalidatedByTrain(t *testing.T) {
 	if res.Source != "exact" {
 		t.Fatalf("pre-train source = %q, want exact", res.Source)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_quantity",
-		&dbest.TrainOptions{SampleSize: 5000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_quantity",
+		SampleSize: 5000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Training bumped the catalog generation: the cached exact plan must be
@@ -198,8 +201,10 @@ func TestConcurrentQueryTrain(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 4; i++ {
-			if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_quantity",
-				&dbest.TrainOptions{SampleSize: 1000, Seed: int64(i)}); err != nil {
+			if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+				Table: "store_sales", XCols: []string{"ss_sold_date_sk"},
+				YCol: "ss_quantity", SampleSize: 1000, Seed: int64(i),
+			}); err != nil {
 				errs <- err
 				return
 			}
@@ -216,7 +221,12 @@ func TestTrainJoinSampledRejectsBadRatio(t *testing.T) {
 	eng := dbest.New(nil)
 	cases := []struct{ num, denom uint64 }{{0, 4}, {1, 0}, {0, 0}, {5, 4}}
 	for _, c := range cases {
-		_, err := eng.TrainJoinSampled("a", "b", "k", "k", c.num, c.denom, []string{"x"}, "y", nil)
+		_, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+			Table: "a",
+			Join: &dbest.JoinSpec{Table: "b", LeftKey: "k", RightKey: "k",
+				Sampled: true, SampleNum: c.num, SampleDenom: c.denom},
+			XCols: []string{"x"}, YCol: "y",
+		})
 		if err == nil {
 			t.Fatalf("ratio %d/%d: want error, got nil", c.num, c.denom)
 		}
@@ -225,7 +235,12 @@ func TestTrainJoinSampledRejectsBadRatio(t *testing.T) {
 		}
 	}
 	// A valid ratio proceeds to the next check (unregistered tables).
-	_, err := eng.TrainJoinSampled("a", "b", "k", "k", 1, 4, []string{"x"}, "y", nil)
+	_, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "a",
+		Join: &dbest.JoinSpec{Table: "b", LeftKey: "k", RightKey: "k",
+			Sampled: true, SampleNum: 1, SampleDenom: 4},
+		XCols: []string{"x"}, YCol: "y",
+	})
 	if err == nil || !strings.Contains(err.Error(), "registered") {
 		t.Fatalf("valid ratio: err = %v, want unregistered-table error", err)
 	}
@@ -344,8 +359,10 @@ func benchSalesEngine(b *testing.B, opts ...dbest.Options) *dbest.Engine {
 	if err := eng.RegisterTable(tb); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 5000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 5000, Seed: 1,
+	}); err != nil {
 		b.Fatal(err)
 	}
 	return eng
@@ -393,7 +410,9 @@ func TestPlanCacheEvictionCounters(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("t", []string{"a"}, "b", &dbest.TrainOptions{SampleSize: 100, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "t", XCols: []string{"a"}, YCol: "b", SampleSize: 100, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Prepare(s3); err != nil {

@@ -1,6 +1,7 @@
 package dbest
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,9 @@ func TestWithinRouteNeverConsultsDensity(t *testing.T) {
 	if err := eng.RegisterTable(snapTestTable("t", 20000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("t", []string{"x"}, "y", &TrainOptions{SampleSize: 4000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+		Table: "t", XCols: []string{"x"}, YCol: "y", SampleSize: 4000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sqls := []string{

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -141,8 +142,10 @@ func TestWithinUnknownBoundsFallsBack(t *testing.T) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk", "ss_wholesale_cost"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 5000, Seed: 5}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk", "ss_wholesale_cost"},
+		YCol: "ss_sales_price", SampleSize: 5000, Seed: 5,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	sql := `SELECT AVG(ss_sales_price) FROM store_sales

@@ -1,6 +1,7 @@
 package dbest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -41,30 +42,17 @@ func servePair(t testing.TB) (cached, uncached *Engine) {
 			t.Fatal(err)
 		}
 	}
-	o := func(n int) *TrainOptions { return &TrainOptions{SampleSize: n, Seed: 23} }
-	og := o(1500)
-	og.GroupBy = "ss_store_sk"
-	trains := []func() (*TrainInfo, error){
-		func() (*TrainInfo, error) {
-			return cached.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", o(3000))
-		},
-		func() (*TrainInfo, error) {
-			return cached.Train("store_sales", []string{"ss_list_price"}, "ss_net_profit", og)
-		},
-		func() (*TrainInfo, error) {
-			return cached.TrainNominal("store_sales", "ss_list_price", "ss_sales_price", "ss_channel", o(1500))
-		},
-		func() (*TrainInfo, error) {
-			return cached.TrainSharded("store_sales", "ss_wholesale_cost", "ss_quantity", 6, o(1000))
-		},
-		func() (*TrainInfo, error) {
-			return cached.TrainJoin("store_sales", "store", "ss_store_sk", "s_store_sk",
-				[]string{"s_number_of_employees"}, "ss_net_profit", o(3000))
-		},
-		func() (*TrainInfo, error) { return cached.Train("mv", []string{"x1", "x2"}, "y", o(1500)) },
-	}
-	for i, train := range trains {
-		if _, err := train(); err != nil {
+	for i, spec := range []ModelSpec{
+		{Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price", SampleSize: 3000},
+		{Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_net_profit", GroupBy: "ss_store_sk", SampleSize: 1500},
+		{Table: "store_sales", XCols: []string{"ss_list_price"}, YCol: "ss_sales_price", NominalBy: "ss_channel", SampleSize: 1500},
+		{Table: "store_sales", XCols: []string{"ss_wholesale_cost"}, YCol: "ss_quantity", Shards: 6, SampleSize: 1000},
+		{Table: "store_sales", Join: &JoinSpec{Table: "store", LeftKey: "ss_store_sk", RightKey: "s_store_sk"},
+			XCols: []string{"s_number_of_employees"}, YCol: "ss_net_profit", SampleSize: 3000},
+		{Table: "mv", XCols: []string{"x1", "x2"}, YCol: "y", SampleSize: 1500},
+	} {
+		spec.Seed = 23
+		if _, err := cached.CreateModel(context.Background(), &spec); err != nil {
 			t.Fatalf("train %d: %v", i, err)
 		}
 	}

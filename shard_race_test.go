@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -49,8 +50,8 @@ func TestConcurrentShardedIngestQueryRefresh(t *testing.T) {
 	if err := eng.RegisterTable(shardStreamTable(8000, 1)); err != nil {
 		t.Fatal(err)
 	}
-	opts := &dbest.TrainOptions{SampleSize: 1500, Seed: 1}
-	if _, err := eng.TrainSharded("stream", "x", "y", 4, opts); err != nil {
+	spec := dbest.ModelSpec{Table: "stream", XCols: []string{"x"}, YCol: "y", Shards: 4, SampleSize: 1500, Seed: 1}
+	if _, err := eng.CreateModel(context.Background(), &spec); err != nil {
 		t.Fatal(err)
 	}
 	const threshold = 0.05
@@ -161,7 +162,8 @@ func TestConcurrentShardedIngestQueryRefresh(t *testing.T) {
 	if err := ref.RegisterTable(final.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Train("stream", []string{"x"}, "y", opts); err != nil {
+	spec.Shards = 0
+	if _, err := ref.CreateModel(context.Background(), &spec); err != nil {
 		t.Fatal(err)
 	}
 	for _, sql := range sqls[:3] {

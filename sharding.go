@@ -22,25 +22,13 @@ import (
 // table when a sharded ensemble is trained over it.
 type TablePartition = table.Partition
 
-// TrainSharded builds a K-shard model ensemble for AF(ycol) queries with a
-// range predicate on xcol. It replaces any previous models for the same
-// (table, xcol, ycol) — plain or sharded, whatever the old K — in one
-// catalog generation bump. Heavy value ties in xcol can collapse cut
-// points, so the ensemble may come out smaller than requested (a single
-// surviving shard degenerates to a plain unsharded model). Sharding
-// composes with neither GROUP BY nor multivariate predicates.
-func (e *Engine) TrainSharded(tbl, xcol, ycol string, shards int, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(context.Background(), specFor(tbl, []string{xcol}, ycol, opts).withShards(shards))
-}
-
-// TrainShardedContext is TrainSharded with cancellation (see TrainContext).
-func (e *Engine) TrainShardedContext(ctx context.Context, tbl, xcol, ycol string, shards int, opts *TrainOptions) (*TrainInfo, error) {
-	return e.CreateModel(ctx, specFor(tbl, []string{xcol}, ycol, opts).withShards(shards))
-}
-
 // createSharded executes a sharded spec: train the ensemble, swap it into
-// the catalog under one generation bump, attach partition metadata to the
-// table, and register per-shard staleness tracking.
+// the catalog under one generation bump — replacing any previous models for
+// the same (table, xcol, ycol), plain or sharded, whatever the old K —
+// attach partition metadata to the table, and register per-shard staleness
+// tracking. Heavy value ties in the x column can collapse cut points, so the
+// ensemble may come out smaller than requested (a single surviving shard
+// degenerates to a plain unsharded model).
 func (e *Engine) createSharded(ctx context.Context, spec *ModelSpec) (*TrainInfo, error) {
 	tb := e.Table(spec.Table)
 	if tb == nil {
@@ -65,7 +53,7 @@ func (e *Engine) createSharded(ctx context.Context, spec *ModelSpec) (*TrainInfo
 	}
 	e.setPartition(spec.Table, &table.Partition{Col: spec.XCols[0], Bounds: bounds})
 	for _, ms := range sets {
-		e.trackShard(ms, spec, rows0)
+		e.track(ms, spec, rows0)
 	}
 	return shardedTrainInfo(sets), nil
 }
@@ -120,14 +108,6 @@ func (e *Engine) TablePartitioning(tbl string) *TablePartition {
 // after the fact, so they are credited to every shard, erring toward an
 // eager retrain rather than a silently stale one.
 func (e *Engine) trackShard(ms *core.ModelSet, spec *ModelSpec, rows0 int) {
-	if ms.Shards <= 1 {
-		// A collapsed single-shard ensemble is a plain model; track it like
-		// one, with the retrain re-executing the sharded spec at the
-		// originally requested K so a refresh re-shards once the column's
-		// values diversify enough to support distinct quantile cuts.
-		e.trackModel(ms, []string{spec.Table}, rows0, spec.trainOptions(), e.specRetrain(spec))
-		return
-	}
 	resCap, scale := core.DefaultSampleSize, 1.0
 	if spec.SampleSize > 0 {
 		resCap = spec.SampleSize

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -21,8 +22,10 @@ func newShardedEngine(t *testing.T, rows, k int) (*dbest.Engine, *dbest.Table) {
 	if err := eng.RegisterTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	info, err := eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", k,
-		&dbest.TrainOptions{SampleSize: 2000, Seed: 1})
+	info, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		Shards: k, SampleSize: 2000, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +173,16 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 // not leave the old ensemble (or a plain model for the pair) behind.
 func TestTrainShardedReplacesOldEnsemble(t *testing.T) {
 	eng, _ := newShardedEngine(t, 20000, 4)
-	if _, err := eng.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price",
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		SampleSize: 1000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TrainSharded("store_sales", "ss_sold_date_sk", "ss_sales_price", 8,
-		&dbest.TrainOptions{SampleSize: 1000, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
+		Shards: 8, SampleSize: 1000, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	keys := eng.ModelKeys()

@@ -1,6 +1,7 @@
 package dbest_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +31,9 @@ func TestConcurrentAppendSketchQueryRefresh(t *testing.T) {
 	}
 	// A regular model keeps the refresher genuinely busy while sketches
 	// absorb the same appends.
-	if _, err := eng.Train("stream", []string{"x"}, "y", &dbest.TrainOptions{SampleSize: 1500, Seed: 7}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "stream", XCols: []string{"x"}, YCol: "y", SampleSize: 1500, Seed: 7,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Exec("CREATE SKETCH dx ON stream(x) TYPE HLL"); err != nil {

@@ -1,6 +1,7 @@
 package dbest
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -64,8 +65,10 @@ func TestPrepareTrainInterleaveConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	train := func(scale float64) error {
-		_, err := eng.Train("inter", []string{"x"}, "y",
-			&TrainOptions{SampleSize: 800, Seed: 1, Scale: scale})
+		_, err := eng.CreateModel(context.Background(), &ModelSpec{
+			Table: "inter", XCols: []string{"x"}, YCol: "y", SampleSize: 800, Seed: 1,
+			Scale: scale,
+		})
 		return err
 	}
 	if err := train(1); err != nil {
@@ -128,8 +131,9 @@ func TestConcurrentSnapshotStress(t *testing.T) {
 	if err := eng.RegisterTable(snapTestTable("stress", 4000, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("stress", []string{"x"}, "y",
-		&TrainOptions{SampleSize: 800, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+		Table: "stress", XCols: []string{"x"}, YCol: "y", SampleSize: 800, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.StartRefresher(&RefreshOptions{
@@ -173,8 +177,10 @@ func TestConcurrentSnapshotStress(t *testing.T) {
 			if i%2 == 1 {
 				scale = 3.0
 			}
-			if _, err := eng.Train("stress", []string{"x"}, "y",
-				&TrainOptions{SampleSize: 800, Seed: 1, Scale: scale}); err != nil {
+			if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+				Table: "stress", XCols: []string{"x"}, YCol: "y", SampleSize: 800, Seed: 1,
+				Scale: scale,
+			}); err != nil {
 				errCh <- err
 				return
 			}
@@ -255,8 +261,9 @@ func TestSnapshotsAreGCable(t *testing.T) {
 	if err := eng.RegisterTable(snapTestTable("gc", 500, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Train("gc", []string{"x"}, "y",
-		&TrainOptions{SampleSize: 200, Seed: 1}); err != nil {
+	if _, err := eng.CreateModel(context.Background(), &ModelSpec{
+		Table: "gc", XCols: []string{"x"}, YCol: "y", SampleSize: 200, Seed: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Touch the read path so the plan cache memoizes against the current

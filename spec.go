@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"strings"
 	"time"
 
@@ -19,14 +18,12 @@ import (
 // Declarative model definitions: a ModelSpec is the first-class description
 // of one trained model pair (or ensemble) — what it is trained over, which
 // columns it covers, and how it is sampled — and Engine.CreateModel is the
-// single entry point that executes one. The ten legacy Train* methods are
-// thin wrappers that assemble a spec and call CreateModel.
+// single entry point that executes one.
 //
-// Because a spec is plain data (unlike the opaque retrain closures it
-// replaces), it is persisted alongside the models in the catalog: a catalog
-// reloaded via LoadModels re-registers every spec-carrying model with the
-// staleness ledger, so background refresh keeps working across process
-// restarts — the serving lifecycle the closure-based API could not support.
+// Because a spec is plain data, it is persisted alongside the models in the
+// catalog: a catalog reloaded via LoadModels re-registers every
+// spec-carrying model with the staleness ledger, so background refresh keeps
+// working across process restarts.
 //
 // The SQL front end exposes the same surface declaratively:
 //
@@ -138,9 +135,9 @@ var regressorFamilies = map[string]bool{
 	"": true, "ensemble": true, "gboost": true, "xgboost": true, "plr": true,
 }
 
-// Validate centralizes every argument check the legacy Train* entry points
-// scattered: a spec that validates is structurally executable (training can
-// still fail on data conditions — unknown columns, empty tables).
+// Validate is the one place a model definition's arguments are checked: a
+// spec that validates is structurally executable (training can still fail on
+// data conditions — unknown columns, empty tables).
 func (s *ModelSpec) Validate() error {
 	if s.Table == "" {
 		return errors.New("dbest: model spec requires a table")
@@ -271,23 +268,6 @@ func (s *ModelSpec) config() *core.TrainConfig {
 	}
 }
 
-// trainOptions projects the spec back onto the legacy options struct — the
-// shape trackModel consumes for reservoir capacity and seed.
-func (s *ModelSpec) trainOptions() *TrainOptions {
-	return &TrainOptions{
-		SampleSize:    s.SampleSize,
-		GroupBy:       s.GroupBy,
-		Scale:         s.Scale,
-		Seed:          s.Seed,
-		MinGroupModel: s.MinGroupModel,
-		Workers:       s.Workers,
-		EnsemblePLR:   s.EnsemblePLR,
-		KDEBins:       s.KDEBins,
-		Regressor:     s.Regressor,
-		GridKnots:     s.GridKnots,
-	}
-}
-
 // encode serializes the spec for catalog persistence. A ModelSpec is plain
 // data, so the marshal cannot fail.
 func (s *ModelSpec) encode() []byte {
@@ -309,52 +289,6 @@ func decodeSpec(b []byte) (*ModelSpec, error) {
 		return nil, fmt.Errorf("dbest: corrupt persisted model spec: %w", err)
 	}
 	return &s, nil
-}
-
-// specFor assembles the legacy Train* arguments into a ModelSpec — the
-// shared constructor behind the ten wrapper methods.
-func specFor(tbl string, xcols []string, ycol string, opts *TrainOptions) *ModelSpec {
-	s := &ModelSpec{Table: tbl, XCols: append([]string(nil), xcols...), YCol: ycol}
-	if opts != nil {
-		s.GroupBy = opts.GroupBy
-		s.SampleSize = opts.SampleSize
-		s.Seed = opts.Seed
-		s.Scale = opts.Scale
-		s.MinGroupModel = opts.MinGroupModel
-		s.Workers = opts.Workers
-		s.EnsemblePLR = opts.EnsemblePLR
-		s.KDEBins = opts.KDEBins
-		s.Regressor = opts.Regressor
-		s.GridKnots = opts.GridKnots
-	}
-	return s
-}
-
-// withJoin attaches a full-precompute join source.
-func (s *ModelSpec) withJoin(right, leftKey, rightKey string) *ModelSpec {
-	s.Join = &JoinSpec{Table: right, LeftKey: leftKey, RightKey: rightKey}
-	return s
-}
-
-// withSampledJoin attaches a hash-sampled join source; the keep ratio is
-// validated by Validate even when zero, preserving the legacy
-// TrainJoinSampled contract that a 0/0 ratio is rejected.
-func (s *ModelSpec) withSampledJoin(right, leftKey, rightKey string, num, denom uint64) *ModelSpec {
-	s.Join = &JoinSpec{Table: right, LeftKey: leftKey, RightKey: rightKey,
-		Sampled: true, SampleNum: num, SampleDenom: denom}
-	return s
-}
-
-// withNominal attaches a nominal-categorical split column.
-func (s *ModelSpec) withNominal(nominalBy string) *ModelSpec {
-	s.NominalBy = nominalBy
-	return s
-}
-
-// withShards attaches a range-shard count.
-func (s *ModelSpec) withShards(shards int) *ModelSpec {
-	s.Shards = shards
-	return s
 }
 
 // Summary renders the spec in the CREATE MODEL clause syntax (minus the
@@ -409,9 +343,8 @@ func (s *ModelSpec) Summary() string {
 
 // specRetrain is the retrain closure registered with the staleness ledger:
 // re-executing the spec rebuilds the models from the tables' current rows.
-// Unlike the opaque closures it replaces, the same closure can be
-// reconstructed from a reloaded catalog, which is what makes loaded models
-// refreshable.
+// The same closure can be reconstructed from a reloaded catalog, which is
+// what makes loaded models refreshable.
 func (e *Engine) specRetrain(spec *ModelSpec) ingest.RetrainFunc {
 	return func(ctx context.Context) error {
 		_, err := e.CreateModel(ctx, spec)
@@ -423,9 +356,9 @@ func (e *Engine) specRetrain(spec *ModelSpec) ingest.RetrainFunc {
 // trains the models the spec describes, registers them in the catalog with
 // the spec persisted alongside (SaveModels round-trips it), registers
 // staleness tracking whose retrain re-executes the spec, and returns build
-// statistics. It subsumes all ten legacy Train* methods, which remain as
-// thin wrappers. A canceled ctx aborts the build at the next model-fit
-// boundary without touching the catalog.
+// statistics. It is the only way to define a model: CREATE MODEL, POST
+// /train and the CLI's -train flag all lower to it. A canceled ctx aborts the
+// build at the next model-fit boundary without touching the catalog.
 func (e *Engine) CreateModel(ctx context.Context, spec *ModelSpec) (*TrainInfo, error) {
 	if spec == nil {
 		return nil, errors.New("dbest: nil model spec")
@@ -448,6 +381,17 @@ func (e *Engine) CreateModel(ctx context.Context, spec *ModelSpec) (*TrainInfo, 
 	}
 }
 
+// install publishes one freshly trained model set: the spec is persisted
+// with it, the catalog swap bumps the generation, and the staleness ledger
+// starts tracking it against baseRows — the watched tables' row count when
+// the training began.
+func (e *Engine) install(ms *core.ModelSet, spec *ModelSpec, baseRows int) *TrainInfo {
+	ms.Spec = spec.encode()
+	e.catalog.Put(ms)
+	e.trackModel(ms, spec, baseRows)
+	return trainInfo(ms)
+}
+
 // createPlain trains a single-table model set (plain, GROUP BY, or
 // multivariate, per the spec).
 func (e *Engine) createPlain(ctx context.Context, spec *ModelSpec) (*TrainInfo, error) {
@@ -459,10 +403,7 @@ func (e *Engine) createPlain(ctx context.Context, spec *ModelSpec) (*TrainInfo, 
 	if err != nil {
 		return nil, err
 	}
-	ms.Spec = spec.encode()
-	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table}, tb.NumRows(), spec.trainOptions(), e.specRetrain(spec))
-	return trainInfo(ms), nil
+	return e.install(ms, spec, tb.NumRows()), nil
 }
 
 // createNominal trains one model pair per distinct value of the spec's
@@ -476,10 +417,7 @@ func (e *Engine) createNominal(ctx context.Context, spec *ModelSpec) (*TrainInfo
 	if err != nil {
 		return nil, err
 	}
-	ms.Spec = spec.encode()
-	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table}, tb.NumRows(), spec.trainOptions(), e.specRetrain(spec))
-	return trainInfo(ms), nil
+	return e.install(ms, spec, tb.NumRows()), nil
 }
 
 // createJoin trains over the equi-join of the spec's two tables: in full
@@ -495,7 +433,9 @@ func (e *Engine) createJoin(ctx context.Context, spec *ModelSpec) (*TrainInfo, e
 	jl, jr := lt, rt
 	cfg := spec.config()
 	if j.sampled() {
-		seed := maphash.MakeSeed()
+		// Both sides share one hash band, and the band follows the spec's
+		// seed: the same spec keeps the same join keys on every build.
+		seed := uint64(spec.Seed)
 		li, err := sample.Hashed(lt, j.LeftKey, j.SampleNum, j.SampleDenom, seed)
 		if err != nil {
 			return nil, err
@@ -525,24 +465,7 @@ func (e *Engine) createJoin(ctx context.Context, spec *ModelSpec) (*TrainInfo, e
 	}
 	// The precomputation cost is part of state building, not query time.
 	ms.Stats.SampleTime += prepTime
-	ms.Spec = spec.encode()
-	e.catalog.Put(ms)
-	e.trackModel(ms, []string{spec.Table, j.Table}, lt.NumRows()+rt.NumRows(),
-		spec.trainOptions(), e.specRetrain(spec))
-	return trainInfo(ms), nil
-}
-
-// CreateSketch is CreateModel for sketch specs under a friendlier name: it
-// builds the sketch over every current row of the column, registers it in
-// the catalog, and wires appended rows to be absorbed in place.
-func (e *Engine) CreateSketch(ctx context.Context, spec *ModelSpec) (*TrainInfo, error) {
-	if spec == nil {
-		return nil, errors.New("dbest: nil sketch spec")
-	}
-	if spec.Sketch == "" {
-		return nil, errors.New("dbest: spec selects no sketch type")
-	}
-	return e.CreateModel(ctx, spec)
+	return e.install(ms, spec, lt.NumRows()+rt.NumRows()), nil
 }
 
 // createSketch builds the sketch the spec describes from every current row
@@ -590,8 +513,9 @@ func (e *Engine) createSketch(ctx context.Context, spec *ModelSpec) (*TrainInfo,
 	ms.Stats.SampleRows = tb.NumRows()
 	ms.Stats.TrainTime = time.Since(t0)
 	ms.Stats.ModelBytes = sk.SizeBytes()
+	// Not install: trackModel takes appendMu itself.
 	e.catalog.Put(ms)
-	e.registerAbsorb(ms, spec, sk, tb.NumRows())
+	e.registerAbsorb(ms, spec, tb.NumRows())
 	return trainInfo(ms), nil
 }
 
@@ -601,7 +525,8 @@ func (e *Engine) createSketch(ctx context.Context, spec *ModelSpec) (*TrainInfo,
 // replaced wholesale — rebuilds the sketch from scratch by re-executing the
 // spec. Caller must hold appendMu (createSketch) or be ordering-safe
 // against appends (retrackLoaded, before serving starts).
-func (e *Engine) registerAbsorb(ms *core.ModelSet, spec *ModelSpec, sk *sketch.Sketch, baseRows int) {
+func (e *Engine) registerAbsorb(ms *core.ModelSet, spec *ModelSpec, baseRows int) {
+	sk := ms.Sketch
 	absorb := func(fs []float64, ss []string) {
 		if len(fs) > 0 {
 			sk.AddFloats(fs)
@@ -634,13 +559,30 @@ func (e *Engine) retrackLoaded() {
 	}
 	var sets []loaded
 	e.catalog.Scan(func(ms *core.ModelSet) bool {
-		if spec, err := decodeSpec(ms.Spec); err == nil && spec != nil {
+		spec, err := decodeSpec(ms.Spec)
+		// A sketch resumes absorbing only under a sketch spec: registerAbsorb
+		// reads its column from there.
+		if err == nil && spec != nil && (ms.Sketch != nil) == (spec.Sketch != "") {
 			sets = append(sets, loaded{ms, spec})
 		}
 		return true
 	})
 	for _, l := range sets {
-		e.trackSpecSet(l.ms, l.spec)
+		// The row count a set was trained over: a single-table model's logical
+		// N recovers it exactly, and a sketch counts what it absorbed (its hash
+		// functions are process-stable, so it resumes where it left off). What
+		// a join or a shard member saw of its tables is unknowable after the
+		// fact, so their staleness is measured from load time: base the entry
+		// on the live row count rather than let a member's own rows make every
+		// loaded ensemble look (K-1)/K-stale and retrain at startup.
+		baseRows := l.ms.PhysicalRows(l.spec.Scale)
+		switch {
+		case l.ms.Sketch != nil:
+			baseRows = int(l.ms.Sketch.Absorbed())
+		case l.ms.Shards > 1 || l.spec.Join != nil:
+			baseRows = e.liveRows(l.spec.watchTables())
+		}
+		e.track(l.ms, l.spec, baseRows)
 	}
 }
 
@@ -755,45 +697,4 @@ func (e *Engine) DropModel(name string) ([]string, error) {
 		e.ledger.Drop(k)
 	}
 	return removed, nil
-}
-
-// trackSpecSet registers one model set (fresh from a catalog load) for
-// staleness tracking according to its spec. Single-table training row
-// counts are recovered exactly from the model's logical N; join models fall
-// back to the watched tables' live row counts, so their staleness is
-// measured relative to load time.
-func (e *Engine) trackSpecSet(ms *core.ModelSet, spec *ModelSpec) {
-	if ms.Sketch != nil {
-		// A loaded sketch resumes absorbing exactly where it left off: the
-		// hash functions are process-stable, so appended values keep landing
-		// in the same registers and counters.
-		if spec.Sketch != "" {
-			e.registerAbsorb(ms, spec, ms.Sketch, int(ms.Sketch.Absorbed()))
-		}
-		return
-	}
-	if ms.Shards > 1 {
-		// trackShard's rows0 is the TABLE row count at training start; rows
-		// beyond it are credited to every shard as ingested-while-training.
-		// For a loaded member that baseline is unknowable, so use the live
-		// count: load time becomes the staleness epoch (extra = 0), instead
-		// of the shard's own row count making every loaded ensemble look
-		// (K-1)/K-stale and triggering a full retrain at startup.
-		rows0 := 0
-		if tb := e.Table(spec.Table); tb != nil {
-			rows0 = tb.NumRows()
-		}
-		e.trackShard(ms, spec, rows0)
-		return
-	}
-	baseRows := ms.PhysicalRows(spec.Scale)
-	if spec.Join != nil {
-		baseRows = 0
-		for _, t := range spec.watchTables() {
-			if tb := e.Table(t); tb != nil {
-				baseRows += tb.NumRows()
-			}
-		}
-	}
-	e.trackModel(ms, spec.watchTables(), baseRows, spec.trainOptions(), e.specRetrain(spec))
 }

@@ -79,45 +79,6 @@ func TestModelSpecValidate(t *testing.T) {
 	}
 }
 
-// CreateModel must produce the same catalog keys as the legacy wrappers it
-// subsumes — the wrappers are pure sugar.
-func TestCreateModelMatchesLegacyKeys(t *testing.T) {
-	build := func() (*dbest.Engine, *dbest.Table) {
-		tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 4000, Seed: 1})
-		eng := dbest.New(nil)
-		if err := eng.RegisterTable(tb); err != nil {
-			t.Fatal(err)
-		}
-		return eng, tb
-	}
-	opts := &dbest.TrainOptions{SampleSize: 1000, Seed: 1}
-
-	legacy, _ := build()
-	if _, err := legacy.Train("store_sales", []string{"ss_sold_date_sk"}, "ss_sales_price", opts); err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, _ := build()
-	info, err := viaSpec.CreateModel(context.Background(), &dbest.ModelSpec{
-		Name:  "revenue",
-		Table: "store_sales", XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price",
-		SampleSize: 1000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lk, sk := legacy.ModelKeys(), viaSpec.ModelKeys()
-	if len(lk) != 1 || len(sk) != 1 || lk[0] != sk[0] {
-		t.Fatalf("keys diverge: legacy %v vs spec %v", lk, sk)
-	}
-	if info.Key != sk[0] {
-		t.Fatalf("TrainInfo.Key = %q, want %q", info.Key, sk[0])
-	}
-	// Both register staleness tracking.
-	if len(legacy.ModelStaleness()) != 1 || len(viaSpec.ModelStaleness()) != 1 {
-		t.Fatal("both paths must register staleness tracking")
-	}
-}
-
 func TestModelsListing(t *testing.T) {
 	tb := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 6000, Seed: 2})
 	eng := dbest.New(nil)
@@ -358,6 +319,55 @@ func TestSpecPersistRoundTrip(t *testing.T) {
 	// And DROP MODEL by name works on the reloaded catalog.
 	if removed, err := eng2.DropModel("persisted"); err != nil || len(removed) != 4 {
 		t.Fatalf("DropModel on reloaded catalog = %v, %v", removed, err)
+	}
+
+	// A catalog written before ModelSpec was the only model definition still
+	// loads, lists its specs, is tracked, serves and refreshes.
+	// testdata/catalog/pr13.gob was saved by the PR 13 commit: a plain, a
+	// 2-shard, a join and an HLL-sketch spec over the tables registered here.
+	old := dbest.New(nil)
+	defer old.StopRefresher()
+	oldSales := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 3000, Stores: 4, Seed: 6})
+	for _, tb := range []*dbest.Table{oldSales, datagen.Store(4, 6)} {
+		if err := old.RegisterTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.LoadModels("testdata/catalog/pr13.gob"); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range old.Models() {
+		if m.Spec == nil || !m.Tracked || m.Staleness != 0 {
+			t.Fatalf("parent-written model %+v: want a spec, tracked and fresh", m)
+		}
+		names = append(names, m.Name)
+	}
+	if got := strings.Join(names, ","); got != "joined,plain,dates,sharded" {
+		t.Fatalf("parent-written catalog lists %q", got)
+	}
+	res, err := old.Query("SELECT AVG(ss_sales_price) FROM store_sales WHERE ss_sold_date_sk BETWEEN 200 AND 900")
+	if err != nil || res.Source != "model" {
+		t.Fatalf("query over the parent-written catalog = %+v, %v", res, err)
+	}
+	// Replacing the table stales every entry; each retrain re-executes a spec
+	// decoded from the file.
+	if err := old.RegisterTable(oldSales.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.StartRefresher(&dbest.RefreshOptions{Interval: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	entries := len(old.ModelStaleness())
+	for deadline := time.Now().Add(30 * time.Second); old.RefreshStats().Refreshes < uint64(entries); {
+		if time.Now().After(deadline) {
+			t.Fatalf("refreshed %d of %d parent-written entries: %+v",
+				old.RefreshStats().Refreshes, entries, old.ModelStaleness())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if f := old.RefreshStats().Failures; f != 0 {
+		t.Fatalf("%d retrains of parent-written specs failed: %+v", f, old.ModelStaleness())
 	}
 }
 

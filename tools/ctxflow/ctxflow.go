@@ -1,5 +1,5 @@
 // Package ctxflow protects the engine's context plumbing: every train/query
-// boundary threads a context.Context (TrainContext, ExecContext, ...), and a
+// boundary threads a context.Context (CreateModel, ExecContext, ...), and a
 // library function that conjures context.Background() or context.TODO()
 // while a perfectly good ctx parameter is in scope silently detaches its
 // callees from cancellation and deadlines.
@@ -7,8 +7,8 @@
 // A call to context.Background() or context.TODO() is reported when it
 // appears in non-main, non-test code inside a function (or closure) whose
 // own or enclosing signature has a context.Context parameter. Root-level
-// helpers with no ctx parameter (the ctx-less Train wrappers, background
-// worker startup) are untouched — there is no caller context to thread.
+// helpers with no ctx parameter (Engine.Exec, background worker startup)
+// are untouched — there is no caller context to thread.
 //
 // The escape hatch is a "//lint:ctxflow <reason>" comment on the flagged
 // line, the line above, or the enclosing function's doc comment.
