@@ -9,13 +9,8 @@
 //	dbest-bench -run fig2,fig3
 //	dbest-bench -run all -rows 1000000 -samples 10000,100000 -peraf 50
 //
-// The load subcommand is the serving benchmark instead: a zipf-skewed
-// query/ingest load harness sweeping worker counts and reporting
-// throughput + latency percentiles as JSON (see load.go):
-//
-//	dbest-bench load -rows 200000 -shapes 60 -zipf 1.2 -ingest 0.02 \
-//	    -workers 1,2,4,8,16 -dur 5s -out BENCH_1.json
-//	dbest-bench load -smoke
+// The serving benchmark is not here: it is the bench/ module, run with
+// `bash bench/run.sh` (see BENCHMARK.json and bench/README.md).
 package main
 
 import (
@@ -29,10 +24,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "load" {
-		runLoad(os.Args[2:])
-		return
-	}
 	var (
 		list    = flag.Bool("list", false, "list available experiments and exit")
 		run     = flag.String("run", "", "comma-separated experiment IDs, or 'all'")

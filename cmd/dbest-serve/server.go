@@ -460,57 +460,35 @@ func (s *server) handleTrainStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats reports serving-side counters: plan-cache effectiveness,
-// snapshot publication, background-refresh activity and uptime. Every
-// counter reads from atomics, so polling /stats never contends with
-// serving.
+// snapshot publication, background-refresh activity, kernels, sketches, the
+// router and uptime. The keys are the JSON names the engine's own Stats
+// structs carry, so a counter is named in one place. Every counter reads
+// from atomics, so polling /stats never contends with serving.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.eng.PlanCacheStats()
 	rs := s.eng.RefreshStats()
-	ss := s.eng.ShardStats()
-	sn := s.eng.SnapshotStats()
-	ek := s.eng.EvalKernelStats()
-	sk := s.eng.SketchStats()
-	rt := s.eng.RouterStats()
 	writeJSON(w, http.StatusOK, struct {
-		PlanCacheHits      uint64 `json:"plan_cache_hits"`
-		PlanCacheMisses    uint64 `json:"plan_cache_misses"`
-		PlanCacheEvictions uint64 `json:"plan_cache_evictions"`
-		PlanCacheResets    uint64 `json:"plan_cache_resets"`
-		PlanCacheGenWipes  uint64 `json:"plan_cache_generation_wipes"`
-		PlanCacheEntries   int    `json:"plan_cache_entries"`
-		SnapshotGeneration uint64 `json:"snapshot_generation"`
-		SnapshotRebuilds   uint64 `json:"snapshot_rebuilds"`
-		CatalogRebuilds    uint64 `json:"catalog_rebuilds"`
-		RefreshRunning     bool   `json:"refresh_running"`
-		RefreshScans       uint64 `json:"refresh_scans"`
-		Refreshes          uint64 `json:"refreshes"`
-		RefreshFailures    uint64 `json:"refresh_failures"`
-		RefreshLastError   string `json:"refresh_last_error,omitempty"`
-		RefreshTotalUs     int64  `json:"refresh_total_retrain_us"`
-		RefreshLastUs      int64  `json:"refresh_last_retrain_us"`
-		TrackedModels      int    `json:"tracked_models"`
-		ShardsEvaluated    uint64 `json:"shards_evaluated"`
-		ShardsPruned       uint64 `json:"shards_pruned"`
-		GridHits           uint64 `json:"grid_hits"`
-		GridFallbacks      uint64 `json:"grid_fallbacks"`
-		QuadNonconverged   uint64 `json:"quad_nonconverged"`
-		SketchHits         uint64 `json:"sketch_hits"`
-		SketchUpdates      uint64 `json:"sketch_updates"`
-		SketchBytes        int    `json:"sketch_bytes"`
-		RouterModelHits    uint64 `json:"router_model_hits"`
-		RouterFallbacks    uint64 `json:"router_exact_fallbacks"`
-		RouterObservations uint64 `json:"router_observations"`
-		RouterTracked      int    `json:"router_tracked_models"`
-		UptimeSeconds      int64  `json:"uptime_seconds"`
-	}{st.Hits, st.Misses, st.Evictions, st.Resets, st.GenerationWipes, st.Entries,
-		sn.Generation, sn.Rebuilds, sn.CatalogRebuilds,
-		rs.Running, rs.Scans, rs.Refreshes, rs.Failures, rs.LastError,
-		rs.TotalRetrain.Microseconds(), rs.LastRetrain.Microseconds(),
-		rs.TrackedModels, ss.Evaluated, ss.Pruned,
-		ek.GridHits, ek.GridFallbacks, ek.QuadNonconverged,
-		sk.Hits, sk.Updates, sk.Bytes,
-		rt.ModelHits, rt.ExactFallbacks, rt.Observations, rt.TrackedModels,
-		int64(time.Since(s.started).Seconds())})
+		dbest.PlanCacheStats
+		dbest.SnapshotStats
+		dbest.RefreshStats
+		RefreshTotalUs int64 `json:"refresh_total_retrain_us"`
+		RefreshLastUs  int64 `json:"refresh_last_retrain_us"`
+		dbest.ShardStats
+		dbest.EvalKernelStats
+		dbest.SketchStats
+		dbest.RouterStats
+		UptimeSeconds int64 `json:"uptime_seconds"`
+	}{
+		PlanCacheStats:  s.eng.PlanCacheStats(),
+		SnapshotStats:   s.eng.SnapshotStats(),
+		RefreshStats:    rs,
+		RefreshTotalUs:  rs.TotalRetrain.Microseconds(),
+		RefreshLastUs:   rs.LastRetrain.Microseconds(),
+		ShardStats:      s.eng.ShardStats(),
+		EvalKernelStats: s.eng.EvalKernelStats(),
+		SketchStats:     s.eng.SketchStats(),
+		RouterStats:     s.eng.RouterStats(),
+		UptimeSeconds:   int64(time.Since(s.started).Seconds()),
+	})
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

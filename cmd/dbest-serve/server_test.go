@@ -915,3 +915,80 @@ func TestSketchEndpoints(t *testing.T) {
 		t.Fatalf("models listed %d sketches, want 2", sketches)
 	}
 }
+
+// TestStatsContract pins the /stats wire format: exactly these 30 keys, each
+// with this JSON kind. The handler emits the engine's tagged Stats structs,
+// so renaming a tag or dropping a struct from the response fails here rather
+// than in whoever scrapes the endpoint (bench/target.go decodes 13 of them).
+// refresh_last_error is omitted while empty, so the test first makes the
+// refresher fail: the watched table is dropped and the model force-staled.
+func TestStatsContract(t *testing.T) {
+	eng := newTestEngine(t)
+	if err := eng.StartRefresher(&dbest.RefreshOptions{Interval: 5 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer eng.StopRefresher()
+	eng.DropTable("sensor")
+	srv := httptest.NewServer(newHandler(eng))
+	defer srv.Close()
+
+	want := map[string]string{
+		"plan_cache_hits": "number", "plan_cache_misses": "number", "plan_cache_evictions": "number",
+		"plan_cache_resets": "number", "plan_cache_generation_wipes": "number", "plan_cache_entries": "number",
+		"snapshot_generation": "number", "snapshot_rebuilds": "number", "catalog_rebuilds": "number",
+		"refresh_running": "bool", "refresh_scans": "number", "refreshes": "number",
+		"refresh_failures": "number", "refresh_last_error": "string",
+		"refresh_total_retrain_us": "number", "refresh_last_retrain_us": "number", "tracked_models": "number",
+		"shards_evaluated": "number", "shards_pruned": "number",
+		"grid_hits": "number", "grid_fallbacks": "number", "quad_nonconverged": "number",
+		"sketch_hits": "number", "sketch_updates": "number", "sketch_bytes": "number",
+		"router_model_hits": "number", "router_exact_fallbacks": "number",
+		"router_observations": "number", "router_tracked_models": "number",
+		"uptime_seconds": "number",
+	}
+	if len(want) != 30 {
+		t.Fatalf("the contract lists %d keys, want 30", len(want))
+	}
+
+	deadline := time.Now().Add(30 * time.Second)
+	var got map[string]interface{}
+	for {
+		got = nil
+		if code := getJSON(t, srv.URL+"/stats", &got); code != 200 {
+			t.Fatalf("stats = %d", code)
+		}
+		if f, _ := got["refresh_failures"].(float64); f >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("refresher recorded no failure after the table was dropped; stats = %v", got)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	for key, v := range got {
+		kind := "other"
+		switch v.(type) {
+		case float64:
+			kind = "number"
+		case bool:
+			kind = "bool"
+		case string:
+			kind = "string"
+		}
+		switch w, ok := want[key]; {
+		case !ok:
+			t.Errorf("/stats has unexpected key %q (%s)", key, kind)
+		case w != kind:
+			t.Errorf("/stats key %q is a %s, want %s", key, kind, w)
+		}
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			t.Errorf("/stats lacks key %q", key)
+		}
+	}
+	if got["refresh_running"] != true || got["refresh_last_error"] == "" || got["tracked_models"] != float64(1) {
+		t.Errorf("/stats = %v: want a running refresher with one tracked model and a recorded error", got)
+	}
+}

@@ -208,13 +208,13 @@ func (e *Engine) setTable(name string, tb *table.Table) {
 type SnapshotStats struct {
 	// Generation is the catalog generation queries are currently serving
 	// under.
-	Generation uint64
+	Generation uint64 `json:"snapshot_generation"`
 	// Rebuilds counts engine-snapshot publications (table swaps plus
 	// catalog publications folded in).
-	Rebuilds uint64
+	Rebuilds uint64 `json:"snapshot_rebuilds"`
 	// CatalogRebuilds counts catalog-snapshot builds (one per catalog
 	// mutation).
-	CatalogRebuilds uint64
+	CatalogRebuilds uint64 `json:"catalog_rebuilds"`
 }
 
 // SnapshotStats returns the engine's snapshot counters. It never contends

@@ -214,7 +214,7 @@ func TestFitEnsemble(t *testing.T) {
 	}
 	// Range-consistent prediction must agree with the selected constituent.
 	sel := ens.ForRange(2, 4)
-	if got := ens.PredictRange(3, 2, 4); got != sel.Predict1(3) {
+	if got := ens.ForRange(2, 4).Predict1(3); got != sel.Predict1(3) {
 		t.Fatal("PredictRange must route through the selected constituent")
 	}
 }
@@ -293,7 +293,7 @@ func TestEnsembleRangeAvgProperty(t *testing.T) {
 		for i := range x {
 			if x[i] >= lb && x[i] <= ub {
 				truth += y[i]
-				pred += ens.PredictRange(x[i], lb, ub)
+				pred += ens.ForRange(lb, ub).Predict1(x[i])
 				cnt++
 			}
 		}

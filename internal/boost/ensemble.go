@@ -171,13 +171,6 @@ func (e *Ensemble) IndexForRange(lb, ub float64) int {
 	return e.indexFor((lb+ub)/2, ub-lb)
 }
 
-// PredictRange evaluates the model chosen for the range [lb, ub] at point x.
-// DBEst query evaluation uses this so that one constituent answers the whole
-// integral consistently.
-func (e *Ensemble) PredictRange(x, lb, ub float64) float64 {
-	return e.selectFor((lb+ub)/2, ub-lb).Predict1(x)
-}
-
 // ForRange returns the constituent regressor selected for [lb, ub], letting
 // integrators hoist the selection out of the integrand.
 func (e *Ensemble) ForRange(lb, ub float64) Regressor {

@@ -3,6 +3,7 @@ package catalog
 import (
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -37,22 +38,16 @@ type BundleStats struct {
 func WriteBundle(path string, ms *core.ModelSet) (BundleStats, error) {
 	var st BundleStats
 	t0 := time.Now()
-	f, err := os.Create(path)
+	size, err := writeFileAtomic(path, func(w io.Writer) error {
+		if err := gob.NewEncoder(w).Encode(&Bundle{Key: ms.Key(), Set: ms}); err != nil {
+			return fmt.Errorf("catalog: encode bundle: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return st, err
 	}
-	defer f.Close()
-	if err := gob.NewEncoder(f).Encode(&Bundle{Key: ms.Key(), Set: ms}); err != nil {
-		return st, fmt.Errorf("catalog: encode bundle: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return st, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		return st, err
-	}
-	st.Bytes = int(info.Size())
+	st.Bytes = int(size)
 	st.WriteTime = time.Since(t0)
 	st.NumModels = ms.NumModels()
 	st.HasSpec = len(ms.Spec) > 0

@@ -5,7 +5,7 @@
 // demand in ~100 ms.
 //
 // The catalog is split along the reader/writer axis: mutations (Put,
-// Remove, ReplaceShards, Load, ...) run under a writer mutex against a
+// RemoveMatching, ReplaceShards, Load, ...) run under a writer mutex against a
 // builder map, and every mutation publishes a fresh immutable Snapshot
 // through an atomic pointer. The read path — every lookup query planning
 // does — goes through that snapshot and never takes a lock; see Snapshot.
@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dbest/internal/core"
 )
@@ -88,11 +90,6 @@ func (c *Catalog) publishLocked() {
 	}
 }
 
-// Generation returns a counter that increases on every catalog mutation
-// (Put, Remove, Load). Callers that cache plans derived from catalog
-// contents compare generations to detect staleness without re-scanning.
-func (c *Catalog) Generation() uint64 { return c.Snapshot().gen }
-
 // Invalidate bumps the generation without changing the catalog contents.
 // Callers use it when the data underneath the models changed out-of-band
 // (e.g. a base table re-registered under the same name), so plan caches
@@ -121,24 +118,6 @@ func (c *Catalog) Get(key string) *core.ModelSet { return c.Snapshot().Get(key) 
 // Snapshot.Lookup.
 func (c *Catalog) Lookup(tbl string, xcols []string, ycol, groupBy string) *core.ModelSet {
 	return c.Snapshot().Lookup(tbl, xcols, ycol, groupBy)
-}
-
-// LookupSharded finds the complete sharded ensemble for (tbl, xcol, ycol);
-// see Snapshot.LookupSharded.
-func (c *Catalog) LookupSharded(tbl, xcol, ycol string) []*core.ModelSet {
-	return c.Snapshot().LookupSharded(tbl, xcol, ycol)
-}
-
-// LookupShardedAny finds a complete sharded ensemble on tbl matching col;
-// see Snapshot.LookupShardedAny.
-func (c *Catalog) LookupShardedAny(tbl, col string) []*core.ModelSet {
-	return c.Snapshot().LookupShardedAny(tbl, col)
-}
-
-// LookupNominal finds a model set keyed by nominal values of nominalBy; see
-// Snapshot.LookupNominal.
-func (c *Catalog) LookupNominal(tbl, xcol, ycol, nominalBy string) *core.ModelSet {
-	return c.Snapshot().LookupNominal(tbl, xcol, ycol, nominalBy)
 }
 
 // completeEnsemble checks that sets covers shards 0..Shards-1 exactly once
@@ -208,15 +187,6 @@ func (c *Catalog) ReplaceMember(ms *core.ModelSet) bool {
 	return true
 }
 
-// Remove deletes the model set with the given key.
-func (c *Catalog) Remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.models, key)
-	c.gen++
-	c.publishLocked()
-}
-
 // RemoveMatching deletes every model set accepted by match under one lock
 // and one generation bump, returning the removed keys sorted. Callers
 // dropping a sharded ensemble must match all its members — removing a
@@ -243,20 +213,14 @@ func (c *Catalog) RemoveMatching(match func(ms *core.ModelSet) bool) []string {
 // snapshot, stopping early when fn returns false.
 func (c *Catalog) Scan(fn func(ms *core.ModelSet) bool) { c.Snapshot().Scan(fn) }
 
-// ScanTable visits the model sets registered for table tbl in sorted key
-// order against the current snapshot, stopping early when fn returns false.
-func (c *Catalog) ScanTable(tbl string, fn func(ms *core.ModelSet) bool) {
-	c.Snapshot().ScanTable(tbl, fn)
-}
-
 // Keys returns the sorted keys of all registered model sets.
 func (c *Catalog) Keys() []string { return c.Snapshot().Keys() }
 
 // Len returns the number of registered model sets.
 func (c *Catalog) Len() int { return c.Snapshot().Len() }
 
-// TotalBytes sums the serialized size of all model sets — the catalog's
-// in-memory state footprint.
+// TotalBytes sums the train-time serialized size of all model sets — the
+// catalog's in-memory state footprint.
 func (c *Catalog) TotalBytes() int { return c.Snapshot().TotalBytes() }
 
 // Save serializes the whole catalog to w, as of the current snapshot.
@@ -330,17 +294,54 @@ func validateShardEnsembles(models map[string]*core.ModelSet) error {
 	return nil
 }
 
-// SaveFile persists the catalog to path.
+// SaveFile persists the catalog to path, replacing a previous file only
+// once the new one is completely on disk.
 func (c *Catalog) SaveFile(path string) error {
-	f, err := os.Create(path)
+	_, err := writeFileAtomic(path, c.Save)
+	return err
+}
+
+// writeFileAtomic replaces path with what encode writes, or leaves it as it
+// was: the bytes go to a temp file in path's directory, are synced, and the
+// temp is renamed over path; the directory is synced so the rename itself
+// survives a crash. On any error the temp file is removed. It returns the
+// number of bytes written.
+func writeFileAtomic(path string, encode func(io.Writer) error) (size int64, err error) {
+	// Not os.CreateTemp, which creates 0600: the saved file gets the
+	// umask-derived mode, so another user's process can still load it.
+	tmp := fmt.Sprintf("%s.tmp-%x", path, time.Now().UnixNano())
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	defer f.Close()
-	if err := c.Save(f); err != nil {
-		return err
+	defer func() {
+		if err != nil {
+			f.Close() // a no-op past the checked Close below
+			os.Remove(tmp)
+		}
+	}()
+	if err = encode(f); err != nil {
+		return 0, err
 	}
-	return f.Sync()
+	if err = f.Sync(); err != nil {
+		return 0, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if err = f.Close(); err != nil {
+		return 0, err
+	}
+	if err = os.Rename(tmp, path); err != nil {
+		return 0, err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return 0, err
+	}
+	defer dir.Close()
+	return info.Size(), dir.Sync()
 }
 
 // LoadFile loads a catalog persisted by SaveFile.

@@ -2,9 +2,14 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +17,11 @@ import (
 	"dbest/internal/exact"
 	"dbest/internal/table"
 )
+
+// remove deletes the one model set with the given key.
+func remove(c *Catalog, key string) {
+	c.RemoveMatching(func(ms *core.ModelSet) bool { return ms.Key() == key })
+}
 
 func trainedSet(t *testing.T, name string, groupBy string) *core.ModelSet {
 	t.Helper()
@@ -83,7 +93,7 @@ func TestRemoveAndKeys(t *testing.T) {
 	if len(keys) != 2 || keys[0] > keys[1] {
 		t.Fatalf("Keys = %v", keys)
 	}
-	c.Remove(a.Key())
+	remove(c, a.Key())
 	if c.Len() != 1 || c.Get(a.Key()) != nil {
 		t.Fatal("Remove failed")
 	}
@@ -135,6 +145,72 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	if err := c2.LoadFile(path + ".missing"); err == nil {
 		t.Fatal("want error for missing file")
+	}
+}
+
+// A save that fails must leave the previous file as it was and no temp file
+// behind: saves go to a temp in the target's directory and are renamed over
+// the target only once complete. Three failures: an encoder that dies after
+// writing part of its output, the real encoders dying on a set gob rejects
+// (a nil group model; by then gob has already written its type descriptors),
+// and a temp file that cannot be created (the target's name leaves no room
+// for the temp suffix within the 255-byte limit).
+func TestFailedSaveKeepsOldFile(t *testing.T) {
+	var old bytes.Buffer
+	oldCat := New()
+	oldCat.Put(trainedSet(t, "t0", ""))
+	if err := oldCat.Save(&old); err != nil {
+		t.Fatal(err)
+	}
+	bad := trainedSet(t, "t1", "g")
+	bad.Groups[99] = nil
+	badCat := New()
+	badCat.Put(bad)
+
+	for _, tc := range []struct {
+		name, file string
+		save       func(path string) error
+	}{
+		{"encoder fails part-way", "catalog.gob", func(path string) error {
+			_, err := writeFileAtomic(path, func(w io.Writer) error {
+				if _, err := w.Write([]byte("half a catalog")); err != nil {
+					return err
+				}
+				return errors.New("disk on fire")
+			})
+			return err
+		}},
+		{"SaveFile", "catalog.gob", badCat.SaveFile},
+		{"WriteBundle", "bundle.gob", func(path string) error {
+			_, err := WriteBundle(path, bad)
+			return err
+		}},
+		{"temp cannot be created", strings.Repeat("n", 250), New().SaveFile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tc.file)
+			if err := os.WriteFile(path, old.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.save(path); err == nil {
+				t.Fatal("save succeeded, want an error")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(old.Bytes(), after) {
+				t.Fatalf("failed save changed the old file: %d bytes before, %d after", old.Len(), len(after))
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 {
+				t.Fatalf("failed save left litter: %v", entries)
+			}
+		})
 	}
 }
 
@@ -220,17 +296,17 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestGeneration(t *testing.T) {
 	c := New()
-	if g := c.Generation(); g != 0 {
+	if g := c.Snapshot().Generation(); g != 0 {
 		t.Fatalf("fresh generation = %d", g)
 	}
 	ms := trainedSet(t, "t1", "")
 	c.Put(ms)
-	g1 := c.Generation()
+	g1 := c.Snapshot().Generation()
 	if g1 == 0 {
 		t.Fatal("Put must bump the generation")
 	}
-	c.Remove(ms.Key())
-	g2 := c.Generation()
+	remove(c, ms.Key())
+	g2 := c.Snapshot().Generation()
 	if g2 <= g1 {
 		t.Fatalf("Remove must bump the generation: %d -> %d", g1, g2)
 	}
@@ -246,7 +322,7 @@ func TestGeneration(t *testing.T) {
 	if err := c.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if g3 := c.Generation(); g3 <= g2 {
+	if g3 := c.Snapshot().Generation(); g3 <= g2 {
 		t.Fatalf("Load must bump the generation: %d -> %d", g2, g3)
 	}
 }
@@ -293,7 +369,7 @@ func TestScanTableVisitsOnlyThatTable(t *testing.T) {
 	c.Put(b1)
 
 	var keys []string
-	c.ScanTable("a", func(ms *core.ModelSet) bool {
+	c.Snapshot().ScanTable("a", func(ms *core.ModelSet) bool {
 		if ms.Table != "a" {
 			t.Fatalf("ScanTable(a) visited table %q", ms.Table)
 		}
@@ -309,12 +385,12 @@ func TestScanTableVisitsOnlyThatTable(t *testing.T) {
 	}
 	// Early stop.
 	n := 0
-	c.ScanTable("a", func(ms *core.ModelSet) bool { n++; return false })
+	c.Snapshot().ScanTable("a", func(ms *core.ModelSet) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
 	// Unknown table: no visits.
-	c.ScanTable("zzz", func(ms *core.ModelSet) bool { t.Fatal("visited"); return true })
+	c.Snapshot().ScanTable("zzz", func(ms *core.ModelSet) bool { t.Fatal("visited"); return true })
 }
 
 func TestScanTableIndexInvalidation(t *testing.T) {
@@ -322,7 +398,7 @@ func TestScanTableIndexInvalidation(t *testing.T) {
 	c.Put(fakeSet("a", "x", "y"))
 	count := func() int {
 		n := 0
-		c.ScanTable("a", func(*core.ModelSet) bool { n++; return true })
+		c.Snapshot().ScanTable("a", func(*core.ModelSet) bool { n++; return true })
 		return n
 	}
 	if got := count(); got != 1 {
@@ -334,7 +410,7 @@ func TestScanTableIndexInvalidation(t *testing.T) {
 	if got := count(); got != 2 {
 		t.Fatalf("after Put = %d, want 2", got)
 	}
-	c.Remove(ms2.Key())
+	remove(c, ms2.Key())
 	if got := count(); got != 1 {
 		t.Fatalf("after Remove = %d, want 1", got)
 	}
@@ -371,8 +447,8 @@ func TestScanTableConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				c.ScanTable("a", func(ms *core.ModelSet) bool { return true })
-				c.LookupNominal("a", "x", "y", "nom")
+				c.Snapshot().ScanTable("a", func(ms *core.ModelSet) bool { return true })
+				c.Snapshot().LookupNominal("a", "x", "y", "nom")
 			}
 		}()
 	}
@@ -380,7 +456,7 @@ func TestScanTableConcurrent(t *testing.T) {
 		ms := fakeSet("a", "x", "y")
 		c.Put(ms)
 		if i%3 == 0 {
-			c.Remove(ms.Key())
+			remove(c, ms.Key())
 		}
 	}
 	close(stop)
@@ -391,10 +467,10 @@ func TestInvalidateBumpsGenerationWithoutMutation(t *testing.T) {
 	c := New()
 	ms := trainedSet(t, "t1", "")
 	c.Put(ms)
-	g0 := c.Generation()
+	g0 := c.Snapshot().Generation()
 	n0 := c.Len()
 	c.Invalidate()
-	if got := c.Generation(); got != g0+1 {
+	if got := c.Snapshot().Generation(); got != g0+1 {
 		t.Fatalf("Generation = %d after Invalidate, want %d", got, g0+1)
 	}
 	if c.Len() != n0 {
@@ -428,7 +504,7 @@ func TestLookupSharded(t *testing.T) {
 	for _, ms := range shardEnsemble("t", "x", "y", 4) {
 		c.Put(ms)
 	}
-	sets := c.LookupSharded("t", "x", "y")
+	sets := c.Snapshot().LookupSharded("t", "x", "y")
 	if len(sets) != 4 {
 		t.Fatalf("LookupSharded = %d sets, want 4", len(sets))
 	}
@@ -438,21 +514,21 @@ func TestLookupSharded(t *testing.T) {
 		}
 	}
 	// Density fallback: aggregates over the split column itself match.
-	if got := c.LookupSharded("t", "x", "x"); len(got) != 4 {
+	if got := c.Snapshot().LookupSharded("t", "x", "x"); len(got) != 4 {
 		t.Fatalf("density fallback = %d sets, want 4", len(got))
 	}
-	if got := c.LookupSharded("t", "x", "z"); got != nil {
+	if got := c.Snapshot().LookupSharded("t", "x", "z"); got != nil {
 		t.Fatal("LookupSharded must miss for an unknown y column")
 	}
-	if got := c.LookupShardedAny("t", "y"); len(got) != 4 {
+	if got := c.Snapshot().LookupShardedAny("t", "y"); len(got) != 4 {
 		t.Fatalf("LookupShardedAny(y) = %d sets, want 4", len(got))
 	}
-	if got := c.LookupShardedAny("t", "*"); len(got) != 4 {
+	if got := c.Snapshot().LookupShardedAny("t", "*"); len(got) != 4 {
 		t.Fatalf("LookupShardedAny(*) = %d sets, want 4", len(got))
 	}
 	// An incomplete ensemble must never be served.
-	c.Remove(shardSet("t", "x", "y", 2, 4).Key())
-	if got := c.LookupSharded("t", "x", "y"); got != nil {
+	remove(c, shardSet("t", "x", "y", 2, 4).Key())
+	if got := c.Snapshot().LookupSharded("t", "x", "y"); got != nil {
 		t.Fatalf("LookupSharded returned a partial ensemble: %d sets", len(got))
 	}
 }
@@ -468,16 +544,16 @@ func TestReplaceShards(t *testing.T) {
 	}
 	other := trainedSet(t, "t2", "")
 	c.Put(other)
-	gen := c.Generation()
+	gen := c.Snapshot().Generation()
 
 	removed := c.ReplaceShards(shardEnsemble("t", "x", "y", 4))
 	if len(removed) != 3 { // plain + 2 old shards
 		t.Fatalf("removed = %v, want plain key and both K=2 shard keys", removed)
 	}
-	if c.Generation() != gen+1 {
-		t.Fatalf("generation bumped %d times, want exactly once", c.Generation()-gen)
+	if c.Snapshot().Generation() != gen+1 {
+		t.Fatalf("generation bumped %d times, want exactly once", c.Snapshot().Generation()-gen)
 	}
-	if got := c.LookupSharded("t", "x", "y"); len(got) != 4 {
+	if got := c.Snapshot().LookupSharded("t", "x", "y"); len(got) != 4 {
 		t.Fatalf("after replace: %d sets, want 4", len(got))
 	}
 	if c.Get(plain.Key()) != nil {
@@ -509,17 +585,17 @@ func TestLoadRejectsPartialShardEnsembles(t *testing.T) {
 	if err := dst.Load(bytes.NewReader(save(c))); err != nil {
 		t.Fatalf("complete ensemble rejected: %v", err)
 	}
-	if got := dst.LookupSharded("t", "x", "y"); len(got) != 4 {
+	if got := dst.Snapshot().LookupSharded("t", "x", "y"); len(got) != 4 {
 		t.Fatalf("round trip lost shards: %d of 4", len(got))
 	}
 
 	// Missing shard: rejected, destination untouched.
-	c.Remove(shardSet("t", "x", "y", 1, 4).Key())
+	remove(c, shardSet("t", "x", "y", 1, 4).Key())
 	partial := save(c)
 	if err := dst.Load(bytes.NewReader(partial)); err == nil {
 		t.Fatal("want error loading a partial ensemble")
 	}
-	if got := dst.LookupSharded("t", "x", "y"); len(got) != 4 {
+	if got := dst.Snapshot().LookupSharded("t", "x", "y"); len(got) != 4 {
 		t.Fatal("failed load must leave the previous catalog intact")
 	}
 
@@ -542,12 +618,12 @@ func TestReplaceMemberGuardsStaleRetrains(t *testing.T) {
 		c.Put(ms)
 	}
 	// In-place refresh of a live member succeeds and bumps the generation.
-	gen := c.Generation()
+	gen := c.Snapshot().Generation()
 	fresh := shardSet("t", "x", "y", 1, 2)
 	if !c.ReplaceMember(fresh) {
 		t.Fatal("refresh of a live member must succeed")
 	}
-	if c.Get(fresh.Key()) != fresh || c.Generation() != gen+1 {
+	if c.Get(fresh.Key()) != fresh || c.Snapshot().Generation() != gen+1 {
 		t.Fatal("member not swapped in")
 	}
 	// The ensemble is replaced with K=4; a K=2 retrain result must be

@@ -23,7 +23,7 @@ type Snapshot struct {
 }
 
 // Generation reports the catalog generation this snapshot was published
-// under. It increases on every catalog mutation (Put, Remove, Load,
+// under. It increases on every catalog mutation (Put, RemoveMatching, Load,
 // Invalidate), so plan caches compare generations to detect staleness.
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
@@ -43,12 +43,13 @@ func (s *Snapshot) Keys() []string {
 	return out
 }
 
-// TotalBytes sums the serialized size of all model sets — the catalog's
-// in-memory state footprint.
+// TotalBytes sums the serialized size of all model sets, as measured when
+// each was trained (Stats.ModelBytes) — the catalog's in-memory state
+// footprint.
 func (s *Snapshot) TotalBytes() int {
 	total := 0
 	for _, ms := range s.models {
-		total += ms.SizeBytes()
+		total += ms.Stats.ModelBytes
 	}
 	return total
 }

@@ -136,15 +136,6 @@ func (g *EvalGrid) Valid() bool {
 	return g != nil && len(g.Knots) >= 2 && len(g.CumD) == len(g.Knots)
 }
 
-// SizeBytes estimates the grid's in-memory table footprint.
-func (g *EvalGrid) SizeBytes() int {
-	if g == nil {
-		return 0
-	}
-	per := 5 + 4*len(g.RA)
-	return 8 * per * len(g.Knots)
-}
-
 // segment locates the panel containing x: the largest k with Knots[k] <= x,
 // clamped to [0, len(Knots)-2].
 func (g *EvalGrid) segment(x float64) int {

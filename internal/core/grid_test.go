@@ -243,3 +243,63 @@ func TestGridCounters(t *testing.T) {
 	}
 	ResetEvalCounters()
 }
+
+// TestGridRejectedServesOnQuadrature covers the fallback ordinary input
+// reaches (GRID OFF is the other way in, and an escape hatch): a PLR ensemble
+// over an epoch-microsecond column fails the grid's build-time validation, so
+// the model ships without a grid and every integral runs on adaptive
+// quadrature — which must still answer within the accuracy the gridded
+// sibling (EnsemblePLR: false over the same column) gives. See ROADMAP 4(d):
+// this is why quadrature stays a serving kernel.
+func TestGridRejectedServesOnQuadrature(t *testing.T) {
+	const (
+		n      = 50_000
+		origin = 1.7e15  // epoch microseconds, late 2023
+		day    = 8.64e10 // one day of microseconds
+	)
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = origin + rng.Float64()*day
+		ys[i] = 100 + 50*(xs[i]-origin)/day + rng.NormFloat64()*5
+	}
+	tb := table.New("events")
+	tb.AddFloatColumn("ts", xs)
+	tb.AddFloatColumn("v", ys)
+	ms, err := Train(tb, []string{"ts"}, "v", &TrainConfig{SampleSize: 5000, Seed: 1, EnsemblePLR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ms.Uni.HasGrid() {
+		t.Fatal("the grid validated: this input no longer reaches the fallback, find one that does or retire the kernel (ROADMAP 4d)")
+	}
+	if k := ms.EvalKernel(); k != "quad" {
+		t.Fatalf("EvalKernel = %q, want quad", k)
+	}
+
+	ResetEvalCounters()
+	defer ResetEvalCounters()
+	spans := rand.New(rand.NewSource(2))
+	for i := 0; i < 20; i++ {
+		w := day * (0.05 + 0.45*spans.Float64())
+		lb := origin + (day-w)*spans.Float64()
+		for _, af := range []exact.AggFunc{exact.Count, exact.Sum, exact.Avg} {
+			got, err := ms.EvaluateUni(af, lb, lb+w, false, nil)
+			if err != nil {
+				t.Fatalf("%v over span %d: %v", af, i, err)
+			}
+			want, err := exact.Query(tb, exact.Request{AF: af, Y: "v",
+				Predicates: []exact.Range{{Column: "ts", Lb: lb, Ub: lb + w}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if re := relErr(got.Value, want.Value); re > 0.06 {
+				t.Errorf("%v over span %d = %v, exact %v: relative error %.3f above 6%%", af, i, got.Value, want.Value, re)
+			}
+		}
+	}
+	if c := ReadEvalCounters(); c.GridFallbacks == 0 || c.GridHits != 0 {
+		t.Fatalf("counters = %+v, want fallbacks > 0 and no grid hits", c)
+	}
+}

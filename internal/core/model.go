@@ -7,7 +7,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -293,14 +292,4 @@ func (m *UniModel) variance(yIsX bool, lb, ub, f float64) (float64, error) {
 	}
 	ex := m1 / f
 	return math.Max(m2/f-ex*ex, 0), nil
-}
-
-// SizeBytes reports the gob-serialized size of the model — the paper's
-// space-overhead metric (models of "a few 100s KBs" vs samples of MBs).
-func (m *UniModel) SizeBytes() int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return 0
-	}
-	return buf.Len()
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"dbest/internal/boost"
@@ -101,15 +99,6 @@ func (m *MultiModel) Aggregate(af exact.AggFunc, lb, ub []float64) (float64, err
 	default:
 		return 0, fmt.Errorf("core: aggregate %v not supported with multivariate predicates", af)
 	}
-}
-
-// SizeBytes reports the gob-serialized model size.
-func (m *MultiModel) SizeBytes() int {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return 0
-	}
-	return buf.Len()
 }
 
 func maxf(a, b float64) float64 {

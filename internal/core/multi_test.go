@@ -129,7 +129,7 @@ func TestMultiModelCompact(t *testing.T) {
 	if ms.Multi.Dim() != 2 {
 		t.Fatalf("Dim = %d", ms.Multi.Dim())
 	}
-	if size := ms.Multi.SizeBytes(); size == 0 || size > 2_000_000 {
+	if size := ms.Stats.ModelBytes; size == 0 || size > 2_000_000 {
 		t.Fatalf("multivariate model size = %d", size)
 	}
 }

@@ -111,16 +111,3 @@ func (ms *ModelSet) EvaluateNominal(af exact.AggFunc, value string, lb, ub float
 	}
 	return nil, fmt.Errorf("core: no model for nominal value %q of %s", value, ms.NominalBy)
 }
-
-// NominalValues lists the nominal values the set has models or raw tuples
-// for.
-func (ms *ModelSet) NominalValues() []string {
-	out := make([]string, 0, len(ms.Nominal)+len(ms.NominalRaw))
-	for v := range ms.Nominal {
-		out = append(out, v)
-	}
-	for v := range ms.NominalRaw {
-		out = append(out, v)
-	}
-	return out
-}

@@ -46,10 +46,6 @@ func TestTrainNominalCore(t *testing.T) {
 	if ms.NumModels() != 2 {
 		t.Fatalf("NumModels = %d", ms.NumModels())
 	}
-	vals := ms.NominalValues()
-	if len(vals) != 3 {
-		t.Fatalf("values = %v", vals)
-	}
 	if ms.Key() != "nt|x|y|#ch" {
 		t.Fatalf("key = %q", ms.Key())
 	}

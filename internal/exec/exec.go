@@ -171,9 +171,6 @@ func NewPlan(path, reason string, root *Project) *Plan {
 	return &Plan{Path: path, Reason: reason, root: root}
 }
 
-// Root returns the plan's root operator.
-func (p *Plan) Root() Node { return p.root }
-
 // Run executes the plan once with the bind vector in env.
 func (p *Plan) Run(env *Env) (*Result, error) {
 	return p.root.eval(env)

@@ -267,7 +267,7 @@ func (l *Ledger) Clear() {
 	l.entries = make(map[string]*entry)
 }
 
-// Append records n rows appended to table tbl: every model fed by tbl
+// AppendValues records n rows appended to table tbl: every model fed by tbl
 // gains n ingested rows, and single-table models advance their maintained
 // reservoir over the new row indices, counting how many sample slots the
 // appended region claimed. vals, when non-nil, returns the appended rows'
@@ -275,20 +275,15 @@ func (l *Ledger) Clear() {
 // sharded ensembles use it to credit only the rows routed into their
 // range. A nil vals — or an unresolvable split column — credits every
 // entry with the full n, which errs toward retraining too eagerly rather
-// than serving a silently stale shard.
+// than serving a silently stale shard. strs is the same accessor for
+// string-column values, which absorb entries over string columns (TOP-K
+// sketches on nominal attributes) consume.
 //
 // The credit is enqueued, not applied inline: the ingest hot path touches
 // only the queue mutex, and the O(entries) walk happens at the next
 // reconcile point (a full queue, or any ledger read). Reservoir advancement
 // is commutative in row counts, so deferred application yields the same
 // state as inline application did.
-func (l *Ledger) Append(tbl string, n int, vals func(col string) []float64) {
-	l.AppendValues(tbl, n, vals, nil)
-}
-
-// AppendValues is Append with a second accessor for string-column values,
-// which absorb entries over string columns (TOP-K sketches on nominal
-// attributes) consume; vals stays the accessor for numeric columns.
 func (l *Ledger) AppendValues(tbl string, n int, vals func(col string) []float64, strs func(col string) []string) {
 	if n <= 0 {
 		return

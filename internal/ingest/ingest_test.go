@@ -27,7 +27,7 @@ func TestLedgerStalenessAccrual(t *testing.T) {
 		t.Fatalf("fresh entry not clean: %+v", s)
 	}
 
-	l.Append("t", 500, nil)
+	l.AppendValues("t", 500, nil, nil)
 	s = l.Snapshot()[0]
 	if s.IngestedRows != 500 {
 		t.Fatalf("IngestedRows = %d, want 500", s.IngestedRows)
@@ -53,7 +53,7 @@ func TestLedgerAppendOnlyFeedsWatchers(t *testing.T) {
 	l.Register("m2", []string{"b"}, 100, 100, 10, 1, noRetrain)
 	l.Register("j", []string{"a", "b"}, 200, 200, 0, 1, noRetrain)
 
-	l.Append("a", 50, nil)
+	l.AppendValues("a", 50, nil, nil)
 	for _, s := range l.Snapshot() {
 		switch s.Key {
 		case "m1":
@@ -96,11 +96,11 @@ func TestLedgerInvalidateForcesScore(t *testing.T) {
 func TestLedgerClaimThresholds(t *testing.T) {
 	l := NewLedger()
 	l.Register("m1", []string{"t"}, 1000, 1000, 100, 1, noRetrain)
-	l.Append("t", 40, nil) // 4% ingested
+	l.AppendValues("t", 40, nil, nil) // 4% ingested
 	if cl := l.claim(0.5, 1); len(cl) != 0 {
 		t.Fatalf("claimed below threshold: %v", cl)
 	}
-	l.Append("t", 960, nil) // 100% ingested
+	l.AppendValues("t", 960, nil, nil) // 100% ingested
 	if cl := l.claim(0.5, 1); len(cl) != 1 {
 		t.Fatalf("claim = %v, want 1 entry", cl)
 	}
@@ -109,7 +109,7 @@ func TestLedgerClaimThresholds(t *testing.T) {
 func TestLedgerFailureBacksOffUntilNewRows(t *testing.T) {
 	l := NewLedger()
 	l.Register("m1", []string{"t"}, 100, 100, 10, 1, noRetrain)
-	l.Append("t", 100, nil)
+	l.AppendValues("t", 100, nil, nil)
 
 	cl := l.claim(0.1, 1)
 	if len(cl) != 1 {
@@ -125,7 +125,7 @@ func TestLedgerFailureBacksOffUntilNewRows(t *testing.T) {
 		t.Fatal("failed entry retried without new rows")
 	}
 	// New rows arrive: retried.
-	l.Append("t", 1, nil)
+	l.AppendValues("t", 1, nil, nil)
 	if cl := l.claim(0.1, 1); len(cl) != 1 {
 		t.Fatal("failed entry not retried after new rows")
 	}
@@ -134,7 +134,7 @@ func TestLedgerFailureBacksOffUntilNewRows(t *testing.T) {
 func TestLedgerRegisterPreservesHistory(t *testing.T) {
 	l := NewLedger()
 	l.Register("m1", []string{"t"}, 100, 100, 10, 1, noRetrain)
-	l.Append("t", 100, nil)
+	l.AppendValues("t", 100, nil, nil)
 	l.claim(0.1, 1)
 	l.Register("m1", []string{"t"}, 200, 200, 10, 1, noRetrain) // the retrain re-registers
 	l.finish("m1", 5*time.Millisecond, nil)
@@ -173,7 +173,7 @@ func TestRefresherRetrainsStaleModels(t *testing.T) {
 	r.Start()
 	defer r.Stop()
 
-	l.Append("t", 150, nil) // 75% stale
+	l.AppendValues("t", 150, nil, nil) // 75% stale
 	r.Kick()
 	deadline := time.Now().Add(5 * time.Second)
 	for retrains.Load() == 0 {
@@ -240,7 +240,7 @@ func TestRefresherRecordsFailures(t *testing.T) {
 	r.Start()
 	defer r.Stop()
 
-	l.Append("t", 100, nil)
+	l.AppendValues("t", 100, nil, nil)
 	r.Kick()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -271,7 +271,7 @@ func TestRefresherStopCancelsInFlight(t *testing.T) {
 	})
 	r := NewRefresher(l, &RefresherOptions{Interval: time.Hour, Threshold: 0.1})
 	r.Start()
-	l.Append("t", 100, nil)
+	l.AppendValues("t", 100, nil, nil)
 	r.Kick()
 	select {
 	case <-started:
@@ -346,7 +346,7 @@ func TestForcedSurvivesFailedRetrain(t *testing.T) {
 		t.Fatal("failed forced entry retried without new rows")
 	}
 	// ...but new rows re-arm it, and success finally clears forced.
-	l.Append("t", 1, nil)
+	l.AppendValues("t", 1, nil, nil)
 	if cl := l.claim(0.5, 1); len(cl) != 1 {
 		t.Fatal("failed forced entry not retried after new rows")
 	}
@@ -382,7 +382,7 @@ func TestFracReplacedNeverExceedsOne(t *testing.T) {
 	l := NewLedger()
 	l.Register("m1", []string{"t"}, 10000, 10000, 1000, 1, noRetrain)
 	for i := 0; i < 10; i++ {
-		l.Append("t", 10000, nil) // 100k rows over a 10k-row base
+		l.AppendValues("t", 10000, nil, nil) // 100k rows over a 10k-row base
 	}
 	s := l.Snapshot()[0]
 	if s.FracReplaced > 1 || s.ReservoirReplaced > s.ReservoirSize {
@@ -411,7 +411,7 @@ func TestAppendRoutesToOwningShard(t *testing.T) {
 			"x", i, 3, float64(i*10), float64((i+1)*10), nil)
 	}
 	vals := map[string][]float64{"x": {12, 15, 19, 5, 25}}
-	l.Append("t", 5, func(col string) []float64 { return vals[col] })
+	l.AppendValues("t", 5, func(col string) []float64 { return vals[col] }, nil)
 	got := map[int]int{}
 	for _, st := range l.Snapshot() {
 		if st.Shards != 3 {
@@ -423,7 +423,7 @@ func TestAppendRoutesToOwningShard(t *testing.T) {
 		t.Fatalf("per-shard ingested = %v, want map[0:1 1:3 2:1]", got)
 	}
 	// Edge shards are open-ended: far-out values still have an owner.
-	l.Append("t", 2, func(col string) []float64 { return []float64{-1e9, 1e9} })
+	l.AppendValues("t", 2, func(col string) []float64 { return []float64{-1e9, 1e9} }, nil)
 	got = map[int]int{}
 	for _, st := range l.Snapshot() {
 		got[st.Shard] = st.IngestedRows
@@ -432,7 +432,7 @@ func TestAppendRoutesToOwningShard(t *testing.T) {
 		t.Fatalf("per-shard ingested = %v, want map[0:2 1:3 2:2]", got)
 	}
 	// Unresolvable column: every shard is credited.
-	l.Append("t", 4, func(col string) []float64 { return nil })
+	l.AppendValues("t", 4, func(col string) []float64 { return nil }, nil)
 	for _, st := range l.Snapshot() {
 		if st.IngestedRows < 4 {
 			t.Fatalf("nil column accessor must credit all shards: %+v", st)
@@ -458,7 +458,7 @@ func TestClaimOnlyDirtyShard(t *testing.T) {
 	for i := range xs {
 		xs[i] = 15
 	}
-	l.Append("t", 500, func(col string) []float64 { return xs })
+	l.AppendValues("t", 500, func(col string) []float64 { return xs }, nil)
 	claims := l.claim(0.1, 1)
 	if len(claims) != 1 || claims[0].key != "m@s1/4" {
 		keys := make([]string, len(claims))
@@ -485,7 +485,7 @@ func TestSyncWaitsForConcurrentDrain(t *testing.T) {
 	}, nil)
 	vals := func(string) []float64 { return []float64{1} }
 	for i := int64(1); i <= 200; i++ {
-		l.Append("t", 1, vals)
+		l.AppendValues("t", 1, vals, nil)
 		started, done := make(chan struct{}), make(chan struct{})
 		go func() { close(started); l.Sync(); close(done) }()
 		<-started

@@ -46,16 +46,18 @@ func (o *RefresherOptions) withDefaults() RefresherOptions {
 	return out
 }
 
-// RefreshStats aggregates the refresher's lifetime counters for /stats.
+// RefreshStats aggregates the refresher's lifetime counters. The JSON names
+// are the ones /stats serves; the two durations are left out of the encoding
+// because /stats reports them in microseconds under its own names.
 type RefreshStats struct {
-	Running       bool   // a refresher is currently started
-	Scans         uint64 // ledger scans performed
-	Refreshes     uint64 // successful model rebuilds
-	Failures      uint64 // failed rebuild attempts
-	LastError     string // most recent rebuild error, if any
-	TotalRetrain  time.Duration
-	LastRetrain   time.Duration
-	TrackedModels int
+	Running       bool          `json:"refresh_running"`              // a refresher is currently started
+	Scans         uint64        `json:"refresh_scans"`                // ledger scans performed
+	Refreshes     uint64        `json:"refreshes"`                    // successful model rebuilds
+	Failures      uint64        `json:"refresh_failures"`             // failed rebuild attempts
+	LastError     string        `json:"refresh_last_error,omitempty"` // most recent rebuild error, if any
+	TotalRetrain  time.Duration `json:"-"`
+	LastRetrain   time.Duration `json:"-"`
+	TrackedModels int           `json:"tracked_models"`
 }
 
 // Refresher watches a Ledger in the background and retrains models whose

@@ -93,9 +93,6 @@ func (r *Reservoir) scheduleNext() {
 // Indices returns the sampled row indices (order is not meaningful).
 func (r *Reservoir) Indices() []int { return r.items }
 
-// Seen returns how many elements have been offered.
-func (r *Reservoir) Seen() int { return r.seen }
-
 // Uniform draws a uniform sample of up to k row indices from a table with n
 // rows, via a single reservoir pass.
 func Uniform(n, k int, seed int64) []int {
@@ -166,10 +163,6 @@ func (g *GroupReservoirs) Indices(gval int64) []int {
 	}
 	return r.Indices()
 }
-
-// Count returns the total number of rows observed for group g — the
-// per-group N used to scale per-group COUNT/SUM answers.
-func (g *GroupReservoirs) Count(gval int64) int { return g.counts[gval] }
 
 // ByGroup scans tb once and returns per-group uniform samples keyed by the
 // values of groupCol (must be an Int64 column), along with per-group row

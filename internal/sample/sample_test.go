@@ -16,8 +16,8 @@ func TestReservoirSmallStream(t *testing.T) {
 	if len(r.Indices()) != 5 {
 		t.Fatalf("got %d items, want 5", len(r.Indices()))
 	}
-	if r.Seen() != 5 {
-		t.Fatalf("Seen = %d", r.Seen())
+	if r.seen != 5 {
+		t.Fatalf("Seen = %d", r.seen)
 	}
 }
 
@@ -132,8 +132,8 @@ func TestGroupReservoirs(t *testing.T) {
 		if g == 0 {
 			want = 334
 		}
-		if gr.Count(g) != want {
-			t.Fatalf("Count(%d) = %d, want %d", g, gr.Count(g), want)
+		if gr.counts[g] != want {
+			t.Fatalf("Count(%d) = %d, want %d", g, gr.counts[g], want)
 		}
 	}
 	if gr.Indices(99) != nil {
@@ -304,8 +304,8 @@ func TestReservoirResumedStreamDeterminism(t *testing.T) {
 	for i := first; i < first+second; i++ { // session 2: ingest
 		resumed.Offer(i)
 	}
-	if resumed.Seen() != once.Seen() {
-		t.Fatalf("Seen = %d, want %d", resumed.Seen(), once.Seen())
+	if resumed.seen != once.seen {
+		t.Fatalf("Seen = %d, want %d", resumed.seen, once.seen)
 	}
 	a, b := once.Indices(), resumed.Indices()
 	if len(a) != len(b) {
@@ -333,8 +333,8 @@ func TestReservoirAdvanceMatchesOffer(t *testing.T) {
 		for i := 0; i < total; i++ {
 			ref.Offer(i)
 		}
-		if adv.Seen() != ref.Seen() {
-			t.Fatalf("batches %v: Seen = %d, want %d", batches, adv.Seen(), ref.Seen())
+		if adv.seen != ref.seen {
+			t.Fatalf("batches %v: Seen = %d, want %d", batches, adv.seen, ref.seen)
 		}
 		a, b := ref.Indices(), adv.Indices()
 		if len(a) != len(b) {

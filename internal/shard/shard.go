@@ -45,18 +45,12 @@ func (s *Split) Assign(x float64) int {
 	return sort.Search(len(cuts), func(j int) bool { return cuts[j] > x })
 }
 
-// Overlapping returns the shards whose range intersects [lb, ub], in shard
-// order. Edge shards are treated as open-ended, matching Assign.
-func (s *Split) Overlapping(lb, ub float64) []int {
-	return overlapping(s.K(), func(i int) (float64, float64) {
-		return s.Bounds[i], s.Bounds[i+1]
-	}, lb, ub)
-}
-
-// overlapping is the shared pruning predicate: shard i (of k, with planned
-// bounds from bounds(i)) intersects [lb, ub], where the first shard's lower
-// and the last shard's upper bound are open-ended.
-func overlapping(k int, bounds func(i int) (lo, hi float64), lb, ub float64) []int {
+// OverlappingRanges returns the shards whose range intersects [lb, ub], in
+// shard order: shard i (of k, with planned bounds from bounds(i)) is kept
+// unless it lies wholly outside, where the first shard's lower and the last
+// shard's upper bound are open-ended, matching Assign. The bounds come from
+// the shard models (the executor's form) rather than from a Split.
+func OverlappingRanges(k int, bounds func(i int) (lo, hi float64), lb, ub float64) []int {
 	var out []int
 	for i := 0; i < k; i++ {
 		lo, hi := bounds(i)
@@ -71,13 +65,6 @@ func overlapping(k int, bounds func(i int) (lo, hi float64), lb, ub float64) []i
 		}
 	}
 	return out
-}
-
-// OverlappingRanges prunes shard ranges given per-shard planned bounds —
-// the form the executor uses, where bounds live on the shard models rather
-// than in a Split. k is the total shard count.
-func OverlappingRanges(k int, bounds func(i int) (lo, hi float64), lb, ub float64) []int {
-	return overlapping(k, bounds, lb, ub)
 }
 
 // Owns reports whether shard i of k, with planned bounds [lo, hi), owns

@@ -118,7 +118,9 @@ func TestOverlappingPrunes(t *testing.T) {
 		{10, 10, []int{0, 1}},                          // exactly on a cut touches both
 	}
 	for _, tc := range cases {
-		got := s.Overlapping(tc.lb, tc.ub)
+		got := OverlappingRanges(s.K(), func(i int) (float64, float64) {
+			return s.Bounds[i], s.Bounds[i+1]
+		}, tc.lb, tc.ub)
 		if len(got) != len(tc.want) {
 			t.Fatalf("Overlapping(%v, %v) = %v, want %v", tc.lb, tc.ub, got, tc.want)
 		}

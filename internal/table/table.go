@@ -83,18 +83,6 @@ func (c *Column) Str(i int) string {
 	return ""
 }
 
-// AppendFloat appends a float value, coercing to the column type.
-func (c *Column) AppendFloat(v float64) {
-	switch c.Type {
-	case Float64:
-		c.Floats = append(c.Floats, v)
-	case Int64:
-		c.Ints = append(c.Ints, int64(v))
-	case String:
-		c.Strings = append(c.Strings, fmt.Sprintf("%g", v))
-	}
-}
-
 // Partition is a table's range-partition metadata: the column whose domain
 // was split and the K+1 cut points of the K contiguous range shards. It is
 // attached by the engine when a sharded model ensemble is trained over the
@@ -107,6 +95,8 @@ type Partition struct {
 }
 
 // Shards returns the number of range shards the partition describes.
+//
+//lint:deadexport public API: callers of Engine.TablePartitioning reach it through the dbest.TablePartition alias
 func (p *Partition) Shards() int {
 	if p == nil || len(p.Bounds) < 2 {
 		return 0
@@ -382,6 +372,8 @@ func (t *Table) Clone() *Table {
 // DistinctInts returns the sorted distinct values of an Int64 column. This is
 // how GROUP BY values are recorded from the original table during training
 // (paper §3, Sampling).
+//
+//lint:deadexport public API through the dbest.Table alias; the datagen tests check generated cardinalities with it
 func (t *Table) DistinctInts(name string) ([]int64, error) {
 	c := t.Column(name)
 	if c == nil {

@@ -261,9 +261,6 @@ func (t *Regressor) Predict1(x float64) float64 {
 	}
 }
 
-// NumNodes returns the size of the tree.
-func (t *Regressor) NumNodes() int { return len(t.Nodes) }
-
 // AppendThresholds appends every internal-node split threshold to out and
 // returns the extended slice. For a univariate tree these are exactly the
 // x positions where Predict1 can jump — callers tabulating the prediction
@@ -278,6 +275,8 @@ func (t *Regressor) AppendThresholds(out []float64) []float64 {
 }
 
 // Depth returns the maximum depth of the tree (a single leaf has depth 0).
+//
+//lint:deadexport the tests hold the MaxDepth bound with it
 func (t *Regressor) Depth() int {
 	if len(t.Nodes) == 0 {
 		return 0

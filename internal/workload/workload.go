@@ -23,19 +23,6 @@ type Query struct {
 	P      float64 // percentile point
 }
 
-// SQL renders the query as one engine SQL statement over table tbl. COUNT
-// renders as COUNT(*); range bounds are emitted as literals, so each
-// distinct generated range is a distinct normalized query shape — exactly
-// what a plan-cache load harness needs to control its shape population.
-func (q Query) SQL(tbl string) string {
-	col := q.YCol
-	if q.AF == exact.Count {
-		col = "*"
-	}
-	return fmt.Sprintf("SELECT %s(%s) FROM %s WHERE %s BETWEEN %g AND %g",
-		q.AF, col, tbl, q.XCol, q.Lb, q.Ub)
-}
-
 // Request converts the query to an exact.Request (for ground truth and
 // sample-based baselines), with optional GROUP BY.
 func (q Query) Request(group string) exact.Request {
@@ -173,12 +160,6 @@ func NewHistogram(values []float64, bins int, max float64) *Histogram {
 		h.Counts[i]++
 	}
 	return h
-}
-
-// Bucket returns the [lo, hi) bounds of bin i.
-func (h *Histogram) Bucket(i int) (lo, hi float64) {
-	w := h.Max / float64(len(h.Counts))
-	return float64(i) * w, float64(i+1) * w
 }
 
 // FractionBelow reports the fraction of observations in bins strictly below

@@ -137,10 +137,6 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[9] != 1 {
 		t.Fatalf("overflow bin = %d", h.Counts[9])
 	}
-	lo, hi := h.Bucket(0)
-	if lo != 0 || math.Abs(hi-0.02) > 1e-12 {
-		t.Fatalf("bucket 0 = [%v, %v)", lo, hi)
-	}
 	// 4 of 5 observations are below 0.2 (bins 0..9 boundary math).
 	if f := h.FractionBelow(0.12); math.Abs(f-0.8) > 1e-9 {
 		t.Fatalf("FractionBelow(0.12) = %v", f)

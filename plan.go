@@ -491,17 +491,17 @@ func (e *Engine) Explain(sql string) (*Plan, error) {
 // are cumulative for the engine's lifetime — a generation wipe or capacity
 // reset never zeroes them.
 type PlanCacheStats struct {
-	Hits   uint64 // statements whose shape was served from the cache
-	Misses uint64 // statements whose shape was planned from scratch
+	Hits   uint64 `json:"plan_cache_hits"`   // statements whose shape was served from the cache
+	Misses uint64 `json:"plan_cache_misses"` // statements whose shape was planned from scratch
 	// Evictions counts every cached plan dropped, whichever way it went:
 	// capacity resets or generation wipes.
-	Evictions uint64
+	Evictions uint64 `json:"plan_cache_evictions"`
 	// Resets counts capacity-triggered wholesale clears in put.
-	Resets uint64
+	Resets uint64 `json:"plan_cache_resets"`
 	// GenerationWipes counts whole-cache invalidations caused by catalog
 	// mutations (Train / LoadModels / Remove bumping the generation).
-	GenerationWipes uint64
-	Entries         int // shapes currently cached
+	GenerationWipes uint64 `json:"plan_cache_generation_wipes"`
+	Entries         int    `json:"plan_cache_entries"` // shapes currently cached
 }
 
 // PlanCacheStats returns a snapshot of the engine's plan-cache counters.

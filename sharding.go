@@ -173,8 +173,8 @@ func (e *Engine) retrainShard(ctx context.Context, spec *ModelSpec, shardIdx, sh
 // range did not overlap the predicate. A healthy narrow-range workload
 // over a K-shard ensemble shows Pruned ≈ (K-1)·queries.
 type ShardStats struct {
-	Evaluated uint64
-	Pruned    uint64
+	Evaluated uint64 `json:"shards_evaluated"`
+	Pruned    uint64 `json:"shards_pruned"`
 }
 
 // ShardStats snapshots the engine's shard-pruning counters.

@@ -512,7 +512,7 @@ func (e *Engine) createSketch(ctx context.Context, spec *ModelSpec) (*TrainInfo,
 	ms.Spec = spec.encode()
 	ms.Stats.SampleRows = tb.NumRows()
 	ms.Stats.TrainTime = time.Since(t0)
-	ms.Stats.ModelBytes = sk.SizeBytes()
+	ms.Stats.ModelBytes = ms.SizeBytes()
 	// Not install: trackModel takes appendMu itself.
 	e.catalog.Put(ms)
 	e.registerAbsorb(ms, spec, tb.NumRows())
@@ -651,7 +651,7 @@ func (e *Engine) Models() []ModelInfo {
 			inf.AbsorbedRows = ms.Sketch.Absorbed()
 		}
 		inf.NumModels += ms.NumModels()
-		inf.Bytes += ms.SizeBytes()
+		inf.Bytes += ms.Stats.ModelBytes
 		if st, ok := scores[ms.Key()]; ok {
 			inf.Tracked = true
 			if s := st.Score; s > inf.Staleness {

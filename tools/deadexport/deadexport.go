@@ -2,14 +2,19 @@
 // funcs, types, vars and consts declared in non-test files under a module's
 // internal/ tree that no non-test file under the module root references —
 // the nested bench/ and tools/ modules included, since they sit under the
-// same root and are named after their directories. Only tests can reach
-// such a name, so it is either dead or a reference implementation tests
-// compare against; the latter says so with
+// same root and are named after their directories — and exported methods on
+// the types declared there that no non-test file selects. Only tests can
+// reach such a name, so it is either dead or a reference implementation
+// tests compare against; the latter says so with
 //
 //	//lint:deadexport <reason>
 //
 // on the declaration line, the line above, or in the func's doc comment.
-// Methods are out of scope: interfaces and gob hooks call them by name.
+// A method counts as selected where the type checker resolved a selector's
+// identifier to it (types.Info.Uses), not where its name appears. Interfaces, gob and json call methods the
+// checker cannot see being selected on the concrete type, so a method whose
+// name is a method of any interface declared in a loaded package (the
+// standard library packages the tree imports included) is exempt.
 //
 // It is a whole-program property, so unlike the dbest-vet analyzers it
 // cannot run per package under `go vet -vettool`; the package's test runs
@@ -82,11 +87,16 @@ func Check(root string) ([]string, error) {
 			}
 		}
 		for id, obj := range p.info.Uses {
-			if !recv[id] {
-				used[obj] = true
+			if recv[id] {
+				continue
 			}
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin() // a generic type's method, whatever the instantiation
+			}
+			used[obj] = true
 		}
 	}
+	ifaceMethods := interfaceMethodNames(l.pkgs)
 	var out []string
 	for path, p := range l.pkgs {
 		if !strings.HasPrefix(path, mod+"/internal/") {
@@ -97,13 +107,62 @@ func Check(root string) ([]string, error) {
 		})
 		scope := p.types.Scope()
 		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() && !used[obj] {
+			obj := scope.Lookup(name)
+			if obj.Exported() && !used[obj] {
 				pass.Reportf(obj.Pos(), "exported %s.%s is referenced by no non-test file", p.types.Name(), name)
+				continue // the finding covers the type's methods
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !used[m] && !ifaceMethods[m.Name()] {
+					pass.Reportf(m.Pos(), "exported method %s.%s.%s is selected by no non-test file", p.types.Name(), name, m.Name())
+				}
 			}
 		}
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// interfaceMethodNames collects the method names of every interface type
+// declared at package level in the loaded packages and in everything they
+// import, plus error's.
+func interfaceMethodNames(pkgs map[string]*pkg) map[string]bool {
+	names := map[string]bool{"Error": true}
+	seen := make(map[*types.Package]bool)
+	var visit func(tp *types.Package)
+	visit = func(tp *types.Package) {
+		if seen[tp] {
+			return
+		}
+		seen[tp] = true
+		scope := tp.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					names[it.Method(i).Name()] = true
+				}
+			}
+		}
+		for _, imp := range tp.Imports() {
+			visit(imp)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.types)
+	}
+	return names
 }
 
 var moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)

@@ -7,4 +7,5 @@ func TestDead(t *testing.T) {
 	DeadFunc()
 	_ = DeadType{}
 	_ = DeadVar + DeadConst
+	LiveType{}.TestOnlyMethod()
 }
