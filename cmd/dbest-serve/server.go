@@ -326,9 +326,17 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		SampleRows int    `json:"sample_rows"`
 		SampleUs   int64  `json:"sample_us"`
 		TrainUs    int64  `json:"train_us"`
-		Shards     int    `json:"shards,omitempty"`
+		// train_us by stage, summed over the pairs built (so above train_us
+		// when they trained in parallel): the density and regressor fits,
+		// the evaluation grid, the error-bound bootstrap.
+		FitUs    int64 `json:"fit_us"`
+		GridUs   int64 `json:"grid_us"`
+		BoundsUs int64 `json:"bounds_us"`
+		Shards   int   `json:"shards,omitempty"`
 	}{info.Key, spec.Name, info.NumModels, info.ModelBytes, info.SampleRows,
-		info.SampleTime.Microseconds(), info.TrainTime.Microseconds(), info.Shards})
+		info.SampleTime.Microseconds(), info.TrainTime.Microseconds(),
+		(info.Stages.Density + info.Stages.Regressor).Microseconds(),
+		info.Stages.Grid.Microseconds(), info.Stages.Bounds.Microseconds(), info.Shards})
 }
 
 // handleModels lists every logical trained model — base key, declarative

@@ -151,10 +151,24 @@ func TestEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	// The reply splits train_us by stage; the stages of one pair add up to
+	// no more than the wall clock around them.
+	var tr struct {
+		TrainUs  int64  `json:"train_us"`
+		FitUs    *int64 `json:"fit_us"`
+		GridUs   *int64 `json:"grid_us"`
+		BoundsUs *int64 `json:"bounds_us"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&tr)
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("train status = %d", resp.StatusCode)
+	if resp.StatusCode != 200 || err != nil {
+		t.Fatalf("train status = %d, %v", resp.StatusCode, err)
+	}
+	if tr.FitUs == nil || tr.GridUs == nil || tr.BoundsUs == nil {
+		t.Fatalf("train reply lacks a stage time: %+v", tr)
+	}
+	if *tr.FitUs <= 0 || *tr.GridUs <= 0 || *tr.BoundsUs <= 0 || *tr.FitUs+*tr.GridUs+*tr.BoundsUs > tr.TrainUs {
+		t.Fatalf("train reply stages fit=%d grid=%d bounds=%d of train_us=%d", *tr.FitUs, *tr.GridUs, *tr.BoundsUs, tr.TrainUs)
 	}
 	if code := getJSON(t, srv.URL+"/train-status", &ts); code != 200 || ts.NumModels != 2 {
 		t.Fatalf("train-status after train = %d %+v, want 2 model sets", code, ts)

@@ -107,9 +107,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "trained %s: %d model(s), %d bytes, sample %v + train %v\n",
-			info.Key, info.NumModels, info.ModelBytes,
-			info.SampleTime.Round(1e6), info.TrainTime.Round(1e6))
+		fmt.Fprintf(os.Stderr, "trained %s: %d model(s), %d bytes, %s\n",
+			info.Key, info.NumModels, info.ModelBytes, timings(info))
 	}
 	if *save != "" {
 		if err := eng.SaveModels(*save); err != nil {
@@ -307,9 +306,8 @@ func runModelStatement(eng *dbest.Engine, line string) {
 		if info.Shards > 1 {
 			suffix = fmt.Sprintf(" across %d shards", info.Shards)
 		}
-		fmt.Printf("created model %s (%s): %d model(s)%s, %d bytes, sample %v + train %v\n",
-			res.Spec.Name, info.Key, info.NumModels, suffix, info.ModelBytes,
-			info.SampleTime.Round(1e6), info.TrainTime.Round(1e6))
+		fmt.Printf("created model %s (%s): %d model(s)%s, %d bytes, %s\n",
+			res.Spec.Name, info.Key, info.NumModels, suffix, info.ModelBytes, timings(info))
 	case "create-sketch":
 		fmt.Printf("created sketch %s (%s): %d bytes over %d rows\n",
 			res.Spec.Name, res.Train.Key, res.Train.ModelBytes, res.Train.SampleRows)
@@ -400,9 +398,18 @@ func runTrainStatement(eng *dbest.Engine, args []string, base dbest.ModelSpec) {
 	if info.Shards > 1 {
 		suffix = fmt.Sprintf(" across %d shards", info.Shards)
 	}
-	fmt.Printf("trained %s: %d model(s)%s, %d bytes, sample %v + train %v\n",
-		info.Key, info.NumModels, suffix, info.ModelBytes,
-		info.SampleTime.Round(1e6), info.TrainTime.Round(1e6))
+	fmt.Printf("trained %s: %d model(s)%s, %d bytes, %s\n",
+		info.Key, info.NumModels, suffix, info.ModelBytes, timings(info))
+}
+
+// timings renders a build's sampling and training time, and the training
+// time by stage — summed over the model pairs built, so above the wall-clock
+// train time when groups or shards trained in parallel.
+func timings(info *dbest.TrainInfo) string {
+	st := info.Stages
+	return fmt.Sprintf("sample %v + train %v (fit %v, grid %v, bounds %v)",
+		info.SampleTime.Round(1e6), info.TrainTime.Round(1e6),
+		(st.Density + st.Regressor).Round(1e6), st.Grid.Round(1e6), st.Bounds.Round(1e6))
 }
 
 // readCSVRows reads a header-carrying CSV whose columns must match tb's

@@ -59,10 +59,18 @@ type TrainInfo struct {
 	SampleRows int
 	SampleTime time.Duration
 	TrainTime  time.Duration
+	// Stages splits the model pairs' training by stage — density fit,
+	// regressor fit, grid build, error bounds — summed over every pair built
+	// (groups, nominal values, shards), so a training change can say which
+	// stage moved. Zero for sketches and multivariate sets.
+	Stages StageTimes
 	// Shards is the ensemble size for sharded builds (0 for plain training);
 	// Key is then the ensemble's base key.
 	Shards int
 }
+
+// StageTimes is the per-stage split of model-pair training time.
+type StageTimes = core.StageTimes
 
 // Options configures the engine.
 type Options struct {
@@ -393,6 +401,7 @@ func trainInfo(ms *core.ModelSet) *TrainInfo {
 		SampleRows: ms.Stats.SampleRows,
 		SampleTime: ms.Stats.SampleTime,
 		TrainTime:  ms.Stats.TrainTime,
+		Stages:     ms.Stats.Stages(),
 	}
 }
 

@@ -413,3 +413,33 @@ func TestScaledLogicalTable(t *testing.T) {
 		t.Fatalf("scaled COUNT = %v, want ≈ 2e9", res.Aggregates[0].Value)
 	}
 }
+
+// TestTrainInfoStages: every kind of model pair reports where its training
+// time went. One pair's stages fit inside the wall clock around them; a
+// sharded or grouped build sums its pairs' stages.
+func TestTrainInfoStages(t *testing.T) {
+	eng := dbest.New(nil)
+	if err := eng.RegisterTable(datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 8000, Stores: 4, Seed: 1})); err != nil {
+		t.Fatal(err)
+	}
+	for name, spec := range map[string]dbest.ModelSpec{
+		"plain":   {XCols: []string{"ss_sold_date_sk"}, YCol: "ss_sales_price"},
+		"grouped": {XCols: []string{"ss_list_price"}, YCol: "ss_net_profit", GroupBy: "ss_store_sk"},
+		"nominal": {XCols: []string{"ss_list_price"}, YCol: "ss_sales_price", NominalBy: "ss_channel"},
+		"sharded": {XCols: []string{"ss_wholesale_cost"}, YCol: "ss_quantity", Shards: 2},
+	} {
+		spec.Table, spec.SampleSize, spec.Seed, spec.Workers = "store_sales", 800, 1, 1
+		info, err := eng.CreateModel(context.Background(), &spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		st := info.Stages
+		if st.Density <= 0 || st.Regressor <= 0 || st.Grid <= 0 || st.Bounds <= 0 {
+			t.Errorf("%s: stage times %+v, want every stage timed", name, st)
+		}
+		// Workers is 1, so nothing overlaps: the stages are part of TrainTime.
+		if sum := st.Density + st.Regressor + st.Grid + st.Bounds; sum > info.TrainTime {
+			t.Errorf("%s: stages sum to %v, above TrainTime %v", name, sum, info.TrainTime)
+		}
+	}
+}

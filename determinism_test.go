@@ -13,9 +13,10 @@ import (
 )
 
 // TestCreateModelDeterministic holds "same seed ⇒ same model" for every kind
-// of spec: each is executed on two fresh engines, once training sequentially
-// and once with four workers, and everything the catalog then holds must be
-// byte-identical.
+// of spec: each is executed on fresh engines training sequentially, with two
+// workers and with four — the grid's knot refinement and its quadrature pass
+// fan out under Workers, as do groups and shards — and everything the catalog
+// then holds must be byte-identical. CI also runs it under -cpu 1,2,4.
 func TestCreateModelDeterministic(t *testing.T) {
 	sales := datagen.StoreSales(&datagen.StoreSalesOptions{Rows: 12000, Stores: 6, Seed: 3})
 	stores := datagen.Store(6, 3)
@@ -35,7 +36,7 @@ func TestCreateModelDeterministic(t *testing.T) {
 		spec.Table, spec.SampleSize, spec.Seed = "store_sales", 600, 7
 		t.Run(spec.Name, func(t *testing.T) {
 			var want []byte
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{1, 2, 4} {
 				eng := New(nil)
 				for _, tb := range []*Table{sales, stores} {
 					if err := eng.RegisterTable(tb); err != nil {

@@ -1,7 +1,9 @@
 package dbest_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -150,5 +152,72 @@ func TestRefresherRebuildsGrid(t *testing.T) {
 	hits, fallbacks := queryKernelDelta(t, eng, sumSQL)
 	if hits == 0 || fallbacks != 0 {
 		t.Fatalf("post-refresh query moved hits=%d fallbacks=%d, want grid-only", hits, fallbacks)
+	}
+}
+
+// TestLoadedCatalogAnswersBitEqual: the density estimator's kernel and
+// prefix tables are derived state, built on first use and never written. So
+// a catalog saved from an engine that built them (training evaluates the
+// density) and one saved from an engine that loaded it are the same bytes,
+// and the loaded engine — which rebuilds the tables when a GRID OFF model
+// first integrates its density — answers every query bit for bit like the
+// engine that trained.
+func TestLoadedCatalogAnswersBitEqual(t *testing.T) {
+	eng := newStreamEngine(t, 4000) // a gridded model x → y
+	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
+		Table: "stream", XCols: []string{"y"}, YCol: "x", SampleSize: 1000, Seed: 2, GridKnots: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := eng.SaveModels(dir + "/trained.gob"); err != nil {
+		t.Fatal(err)
+	}
+	loaded := dbest.New(nil)
+	if err := loaded.RegisterTable(streamTable(4000, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadModels(dir + "/trained.gob"); err != nil {
+		t.Fatal(err)
+	}
+	quadSQL := "SELECT AVG(x) FROM stream WHERE y BETWEEN 300 AND 1500"
+	if k := explainKernel(t, loaded, quadSQL); k != "quad" {
+		t.Fatalf("GRID OFF model loaded with kernel %q, want quad", k)
+	}
+	for _, sql := range []string{
+		quadSQL,
+		"SELECT COUNT(*) FROM stream WHERE y BETWEEN 300 AND 1500",
+		"SELECT SUM(x) FROM stream WHERE y BETWEEN 0 AND 2100",
+		"SELECT VARIANCE(x) FROM stream WHERE y BETWEEN 900 AND 1000",
+		"SELECT PERCENTILE(y, 0.9) FROM stream WHERE y BETWEEN 300 AND 1500",
+		"SELECT AVG(y) FROM stream WHERE x BETWEEN 100 AND 900",
+		"SELECT PERCENTILE(x, 0.25) FROM stream WHERE x BETWEEN 100 AND 900",
+	} {
+		want, err := eng.Query(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		got, err := loaded.Query(sql)
+		if err != nil {
+			t.Fatalf("%s on the loaded catalog: %v", sql, err)
+		}
+		if got.Source != "model" || got.Aggregates[0].Value != want.Aggregates[0].Value ||
+			got.Aggregates[0].PredRelErr != want.Aggregates[0].PredRelErr {
+			t.Errorf("%s: loaded %+v, trained %+v", sql, got.Aggregates[0], want.Aggregates[0])
+		}
+	}
+	if err := loaded.SaveModels(dir + "/loaded.gob"); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(dir + "/trained.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(dir + "/loaded.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("a catalog saved after loading is %d bytes, the one it loaded %d: derived state reached gob", len(b), len(a))
 	}
 }

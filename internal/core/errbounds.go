@@ -118,19 +118,33 @@ func buildErrBounds(xs, ys []float64, predict func(float64) float64, seed int64)
 	if n < errMinSample {
 		return nil
 	}
-	sx := append([]float64(nil), xs...)
-	sort.Float64s(sx)
+	// order sorts the sample rows by x and rank inverts it, so a window is a
+	// contiguous rank interval and a resample's in-window median falls out of
+	// a counting pass over that interval — no per-resample copy or sort.
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return xs[order[a]] < xs[order[b]] })
+	sx := make([]float64, n)
+	rank := make([]int, n)
+	for r, i := range order {
+		sx[r] = xs[i]
+		rank[i] = r
+	}
 
 	// Centered quantile windows at increasing target selectivity. The full
 	// window is excluded: every family's error there is dominated by model
 	// bias, not sampling, and COUNT's bootstrap variance is identically 0.
-	type window struct{ lo, hi float64 }
+	// A window selects lo <= x <= hi, which is ranks [rlo, rhi).
+	type window struct{ rlo, rhi int }
 	var wins []window
 	for _, frac := range []float64{0.05, 0.1, 0.2, 0.5, 0.8} {
 		lo := sx[int((0.5-frac/2)*float64(n-1))]
 		hi := sx[int((0.5+frac/2)*float64(n-1))]
 		if hi > lo {
-			wins = append(wins, window{lo, hi})
+			wins = append(wins, window{sort.SearchFloat64s(sx, lo),
+				sort.Search(n, func(r int) bool { return sx[r] > hi })})
 		}
 	}
 	if len(wins) == 0 {
@@ -139,26 +153,40 @@ func buildErrBounds(xs, ys []float64, predict func(float64) float64, seed int64)
 
 	type moments struct {
 		count, sum, sumSq float64
-		inX               []float64 // in-window x values, for the percentile probe
+		med               float64 // in-window median x, for the percentile probe
 	}
 	boots := make([][]moments, len(wins))
 	for w := range boots {
 		boots[w] = make([]moments, errBootstrapB)
 	}
+	drawn := make([]int32, n) // per rank, how often this resample drew it
 	rng := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
 	for b := 0; b < errBootstrapB; b++ {
+		clear(drawn)
 		for i := 0; i < n; i++ {
 			j := rng.Intn(n)
-			x, y := xs[j], ys[j]
+			r, y := rank[j], ys[j]
+			drawn[r]++
 			for w, win := range wins {
-				if x < win.lo || x > win.hi {
+				if r < win.rlo || r >= win.rhi {
 					continue
 				}
 				m := &boots[w][b]
 				m.count++
 				m.sum += y
 				m.sumSq += y * y
-				m.inX = append(m.inX, x)
+			}
+		}
+		for w, win := range wins {
+			// The median is element count/2 of the in-window draws in x
+			// order: the first rank whose running draw count passes it.
+			m := &boots[w][b]
+			mid, seen := int(m.count)/2, 0
+			for r := win.rlo; r < win.rhi; r++ {
+				if seen += int(drawn[r]); seen > mid {
+					m.med = sx[r]
+					break
+				}
 			}
 		}
 	}
@@ -185,8 +213,7 @@ func buildErrBounds(xs, ys []float64, predict func(float64) float64, seed int64)
 			sums = append(sums, m.sum)
 			avgs = append(avgs, avg)
 			vars = append(vars, v)
-			sort.Float64s(m.inX)
-			meds = append(meds, m.inX[len(m.inX)/2])
+			meds = append(meds, m.med)
 		}
 		if len(counts) < errBootstrapB/2 {
 			continue

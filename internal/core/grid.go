@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -39,6 +40,17 @@ import (
 // build-time validation (a constituent that is not piecewise linear over
 // the panels, a degenerate support) is discarded and the model keeps
 // answering through quadrature.
+//
+// What a build evaluates, per model: the closed-form CDF and the density
+// once at every knot and once at every panel midpoint that refinement looks
+// at — each panel exactly once, the two halves of a split in the next round
+// — and the density at the 15 Gauss–Kronrod nodes of every panel. The
+// midpoint check is refinement's; validation takes its worst accepted error
+// and walks the midpoints again only for a grid refinement did not finish
+// (round or knot cap, panels of float width). The linear-R check against
+// the Gauss–Kronrod pass runs on every panel of every grid. The per-knot
+// and per-panel evaluations fan out over TrainConfig.Workers, each into its
+// own slot, so the tables do not depend on the schedule.
 
 // DefaultGridKnots is the base knot budget used when TrainConfig.GridKnots
 // is 0. Ensemble breakpoints are added on top; at default training sizes a
@@ -53,10 +65,11 @@ const maxGridKnots = 32768
 
 // gridErrBound gates build-time validation: the worst relative error of
 // (a) the interpolated CDF against the closed-form CDF at panel midpoints
-// and (b) the per-panel linear reconstruction of ∫D·R_c against a fused
-// Gauss–Kronrod evaluation of the same panel. Both are ~1e-15 when the
-// panel model holds, so anything near the bound means a constituent the
-// grid cannot represent.
+// (refinement splits a panel at half this bound, so a finished refinement
+// has already passed it) and (b) the per-panel linear reconstruction of
+// ∫D·R_c against a fused Gauss–Kronrod evaluation of the same panel. (b)
+// is ~1e-15 when the panel model holds, so anything near the bound means a
+// constituent the grid cannot represent.
 const gridErrBound = 1e-8
 
 // Process-wide evaluation-kernel counters (exposed as /stats fields).
@@ -423,50 +436,105 @@ func gridKnots(d *kde.Binned, n int, jumps []float64) []float64 {
 	return out
 }
 
+// refinedKnots is refineCDFKnots' result: the knot vector with the exact CDF
+// and density tabulated at every knot — CumD carries no quadrature error —
+// and what refinement already established about the panels between them.
+type refinedKnots struct {
+	knots, cumD, dVal []float64
+	// midErr is the worst CDF midpoint error among the panels refinement
+	// accepted. checked reports that it accepted every panel: validation
+	// then starts from midErr instead of evaluating every midpoint again.
+	// It is false when refinement stopped early — the round or knot cap, or
+	// a panel too narrow to have a midpoint.
+	midErr  float64
+	checked bool
+}
+
 // refineCDFKnots splits panels whose Fritsch–Carlson CDF interpolant
 // misses the closed-form CDF at the panel midpoint, until every midpoint
 // agrees within gridErrBound or the knot cap is reached. Wide panels in
 // density valleys and panels where the monotonicity clamp bites are
-// exactly the ones that get refined; each split costs one closed-form CDF
-// evaluation. Returns the refined knot vector with the exact CDF and
-// density tabulated at every knot — CumD carries no quadrature error.
-func refineCDFKnots(d *kde.Binned, kn []float64) (knots, cumD, dVal []float64) {
+// exactly the ones that get refined. A panel's midpoint is evaluated once:
+// an accepted panel is never looked at again, and a split costs the two
+// children's checks in the next round. The closed-form evaluations of a
+// round fan out over workers, each into its own slot, and every decision
+// is taken afterwards in panel order, so the result does not depend on the
+// schedule.
+func refineCDFKnots(d *kde.Binned, kn []float64, workers int) refinedKnots {
 	cd := make([]float64, len(kn))
 	dv := make([]float64, len(kn))
-	for i, x := range kn {
-		cd[i] = d.CDF(x)
-		dv[i] = d.Density(x)
-	}
+	parallel.ForEach(len(kn), workers, func(i int) {
+		cd[i] = d.CDF(kn[i])
+		dv[i] = d.Density(kn[i])
+	})
 	scale := math.Max(cd[len(cd)-1]-cd[0], 1e-300)
+	accepted := make([]bool, len(kn)-1) // per panel [kn[k], kn[k+1]]
+	midErr := 0.0
 	for round := 0; round < 24 && len(kn) < maxGridKnots; round++ {
-		var nk, ncd, ndv []float64
-		split := false
-		for k := 0; k+1 < len(kn); k++ {
-			nk = append(nk, kn[k])
-			ncd = append(ncd, cd[k])
-			ndv = append(ndv, dv[k])
-			mid := 0.5 * (kn[k] + kn[k+1])
-			if mid <= kn[k] || mid >= kn[k+1] {
-				continue // float-resolution panel: cannot split further
-			}
-			want := d.CDF(mid)
-			got := fcHermiteCDF(kn[k], kn[k+1], cd[k], cd[k+1], dv[k], dv[k+1], mid)
-			if math.Abs(got-want)/math.Max(math.Abs(want), 1e-3*scale) > 0.5*gridErrBound {
-				nk = append(nk, mid)
-				ncd = append(ncd, want)
-				ndv = append(ndv, d.Density(mid))
-				split = true
+		mid := func(k int) float64 { return 0.5 * (kn[k] + kn[k+1]) }
+		var todo []int // panels to check this round
+		for k, ok := range accepted {
+			// A float-resolution panel has no midpoint to check or split at.
+			if x := mid(k); !ok && x > kn[k] && x < kn[k+1] {
+				todo = append(todo, k)
 			}
 		}
-		nk = append(nk, kn[len(kn)-1])
-		ncd = append(ncd, cd[len(cd)-1])
-		ndv = append(ndv, dv[len(dv)-1])
-		kn, cd, dv = nk, ncd, ndv
-		if !split {
+		want := make([]float64, len(todo))
+		parallel.ForEach(len(todo), workers, func(j int) { want[j] = d.CDF(mid(todo[j])) })
+		// The panels that miss, in order, with the new knot's CDF and density.
+		type miss struct {
+			k      int
+			cd, dv float64
+		}
+		var split []miss
+		for j, k := range todo {
+			got := fcHermiteCDF(kn[k], kn[k+1], cd[k], cd[k+1], dv[k], dv[k+1], mid(k))
+			rel := math.Abs(got-want[j]) / math.Max(math.Abs(want[j]), 1e-3*scale)
+			if rel > 0.5*gridErrBound {
+				split = append(split, miss{k: k, cd: want[j]})
+				continue
+			}
+			accepted[k] = true
+			midErr = math.Max(midErr, rel)
+		}
+		if len(split) == 0 {
 			break
 		}
+		parallel.ForEach(len(split), workers, func(i int) { split[i].dv = d.Density(mid(split[i].k)) })
+
+		n := len(kn) + len(split)
+		nk, ncd, ndv := make([]float64, 0, n), make([]float64, 0, n), make([]float64, 0, n)
+		nacc := make([]bool, 0, n-1)
+		for k, i := 0, 0; k < len(kn); k++ {
+			nk, ncd, ndv = append(nk, kn[k]), append(ncd, cd[k]), append(ndv, dv[k])
+			if k == len(accepted) {
+				break // the last knot closes the last panel
+			}
+			nacc = append(nacc, accepted[k])
+			if i < len(split) && split[i].k == k {
+				// Both halves of a split panel are new, unchecked panels.
+				nk, ncd, ndv = append(nk, mid(k)), append(ncd, split[i].cd), append(ndv, split[i].dv)
+				nacc = append(nacc, false)
+				i++
+			}
+		}
+		kn, cd, dv, accepted = nk, ncd, ndv, nacc
 	}
-	return kn, cd, dv
+	return refinedKnots{knots: kn, cumD: cd, dVal: dv, midErr: midErr, checked: !slices.Contains(accepted, false)}
+}
+
+// baseKnots places the model's knot vector before refinement: the base
+// grid over the density support merged with every breakpoint of the
+// ensemble's constituents. nil means the support is degenerate.
+func (m *UniModel) baseKnots(knots int) []float64 {
+	var jumps []float64
+	for _, reg := range m.R.Models {
+		if bp, ok := reg.(breakpointer); ok {
+			jumps = append(jumps, bp.Breakpoints()...)
+		}
+	}
+	sort.Float64s(jumps)
+	return gridKnots(m.D, knots, jumps)
 }
 
 // buildGrid tabulates the model's prefix-integral grid with the given base
@@ -476,19 +544,17 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 	if m.D == nil || m.R == nil || len(m.R.Models) == 0 {
 		return nil
 	}
-	nc := len(m.R.Models)
-	var jumps []float64
-	for _, reg := range m.R.Models {
-		if bp, ok := reg.(breakpointer); ok {
-			jumps = append(jumps, bp.Breakpoints()...)
-		}
-	}
-	sort.Float64s(jumps)
-	kn := gridKnots(m.D, knots, jumps)
+	kn := m.baseKnots(knots)
 	if kn == nil {
 		return nil
 	}
-	kn, cumD, dVal := refineCDFKnots(m.D, kn)
+	return m.tabulateGrid(refineCDFKnots(m.D, kn, workers), workers)
+}
+
+// tabulateGrid fills the tables over refined knots and validates them.
+func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
+	nc := len(m.R.Models)
+	kn, cumD, dVal := rk.knots, rk.cumD, rk.dVal
 	nk := len(kn)
 	panels := nk - 1
 
@@ -555,7 +621,7 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 		g.CumDR[c] = cdr
 		g.CumDR2[c] = cdr2
 	}
-	if !m.validateGrid(g, pref) {
+	if !m.validateGrid(g, pref, rk) {
 		return nil
 	}
 	return g
@@ -566,8 +632,11 @@ func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
 // the per-panel linear-R reconstruction of every ∫D·R_c panel against the
 // fused Gauss–Kronrod panel integrals (deltas of pref rows 2+2c and 3+2c).
 // A constituent that is not piecewise linear over the panels shows up
-// here, and the model stays on quadrature.
-func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) bool {
+// here, and the model stays on quadrature. The midpoint check is the one
+// refinement runs — same interpolant, same closed form, same scale, at half
+// this bound — so where rk says refinement accepted every panel its worst
+// error stands in for the walk; otherwise every midpoint is evaluated here.
+func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) bool {
 	nk := len(g.Knots)
 	panels := nk - 1
 	nc := len(g.RA)
@@ -588,12 +657,14 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64) bool {
 		}
 		return rel <= gridErrBound
 	}
-	// CDF midpoint spot checks (every panel is cheap enough: one closed
-	// form CDF per panel, same order of work as the build pass itself).
-	for k := 0; k < panels; k++ {
-		mid := 0.5 * (g.Knots[k] + g.Knots[k+1])
-		if !check(g.cdfAt(mid), m.D.CDF(mid), massScale) {
-			return false
+	if rk.checked {
+		worst = rk.midErr
+	} else {
+		for k := 0; k < panels; k++ {
+			mid := 0.5 * (g.Knots[k] + g.Knots[k+1])
+			if !check(g.cdfAt(mid), m.D.CDF(mid), massScale) {
+				return false
+			}
 		}
 	}
 	for c := 0; c < nc; c++ {

@@ -81,10 +81,11 @@ func TrainNominalContext(ctx context.Context, tb *table.Table, xcol, ycol, nomin
 		}
 		vcfg := c
 		vcfg.Seed = c.Seed + int64(i)
-		m, err := trainPair(ctx, xcol, ycol, vs.xs, vs.ys, ms.NominalRows[vs.v], vcfg)
+		m, st, err := trainPair(ctx, xcol, ycol, vs.xs, vs.ys, ms.NominalRows[vs.v], vcfg)
 		if err != nil {
 			return nil, fmt.Errorf("nominal value %q: %w", vs.v, err)
 		}
+		ms.Stats.stages.Add(st)
 		ms.Nominal[vs.v] = m
 	}
 	ms.Stats.TrainTime = time.Since(t1)

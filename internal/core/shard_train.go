@@ -126,11 +126,12 @@ func trainShardFromRows(ctx context.Context, tb *table.Table, xcol, ycol string,
 	ms.Stats.SampleRows = len(idx)
 
 	t1 := time.Now()
-	m, err := trainPair(ctx, xcol, ycol, xsS, ysS, ms.N, cfg)
+	m, st, err := trainPair(ctx, xcol, ycol, xsS, ysS, ms.N, cfg)
 	if err != nil {
 		return nil, err
 	}
 	ms.Stats.TrainTime = time.Since(t1)
+	ms.Stats.stages = st
 	ms.Uni = m
 	ms.Stats.ModelBytes = ms.SizeBytes()
 	return ms, nil

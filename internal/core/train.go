@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dbest/internal/boost"
@@ -93,7 +94,32 @@ type TrainStats struct {
 	TrainTime  time.Duration
 	SampleRows int
 	ModelBytes int
+
+	// stages is unexported so gob leaves it out: a catalog written with it
+	// is byte for byte one written without, and a loaded set reports zeros.
+	stages StageTimes
 }
+
+// StageTimes splits the training of model pairs by stage, summed over every
+// pair a set trained (groups, nominal values). Pairs train in parallel, so
+// the sum is CPU-side time and may exceed TrainTime's wall clock.
+type StageTimes struct {
+	Density   time.Duration // binning the sample into the KDE
+	Regressor time.Duration // fitting the regression ensemble
+	Grid      time.Duration // building and validating the evaluation grid
+	Bounds    time.Duration // bootstrapping the error predictor
+}
+
+// Add accumulates o into t.
+func (t *StageTimes) Add(o StageTimes) {
+	t.Density += o.Density
+	t.Regressor += o.Regressor
+	t.Grid += o.Grid
+	t.Bounds += o.Bounds
+}
+
+// Stages reports where the pairs' training time went.
+func (s TrainStats) Stages() StageTimes { return s.stages }
 
 // ModelSet is the catalog unit: every model DBEst keeps for one
 // (table, x-columns, y-column, group-by) combination.
@@ -184,27 +210,41 @@ func Key(tbl string, xcols []string, ycol, groupBy string) string {
 }
 
 // trainPair fits the (D, R) pair over sample columns xs, ys representing n
-// logical rows. A canceled ctx aborts between the density and regressor
-// fits — the two long stages — so an abandoned training request stops
-// burning CPU at the next fit boundary.
-func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float64, cfg TrainConfig) (*UniModel, error) {
+// logical rows, and reports how long each stage took. A canceled ctx aborts
+// between stages, so an abandoned training request stops burning CPU at the
+// next boundary.
+func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float64, cfg TrainConfig) (*UniModel, StageTimes, error) {
+	var st StageTimes
 	if len(xs) == 0 {
-		return nil, errors.New("core: empty training sample")
+		return nil, st, errors.New("core: empty training sample")
+	}
+	// One NaN or ±Inf would index the KDE's bins out of range, or train NaN
+	// trees whose model then serves NaN: every caller flows through here, so
+	// this is where a bad value becomes an error.
+	if err := checkFinite(xCol, xs); err != nil {
+		return nil, st, err
+	}
+	if err := checkFinite(yCol, ys); err != nil {
+		return nil, st, err
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, st, err
 	}
+	t0 := time.Now()
 	d, err := kde.NewBinned(xs, cfg.Bins, cfg.Bandwidth)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
+	st.Density = time.Since(t0)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, st, err
 	}
+	t0 = time.Now()
 	r, err := fitRegressor(xs, ys, cfg)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
+	st.Regressor = time.Since(t0)
 	lo, hi := xs[0], xs[0]
 	for _, v := range xs[1:] {
 		if v < lo {
@@ -217,8 +257,9 @@ func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float
 	m := &UniModel{XCol: xCol, YCol: yCol, N: n, D: d, R: r, XLo: lo, XHi: hi}
 	if cfg.GridKnots >= 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, st, err
 		}
+		t0 = time.Now()
 		knots := cfg.GridKnots
 		if knots == 0 {
 			knots = DefaultGridKnots
@@ -229,13 +270,30 @@ func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float
 		// refresher's spec re-execution — flows through here, so grids are
 		// rebuilt on every retrain without extra plumbing.
 		m.Grid = buildGrid(m, knots, cfg.Workers)
+		st.Grid = time.Since(t0)
 	}
 	// The error predictor is fitted here, while the training sample is
 	// still in hand (it is discarded after training, §3) — like the grid,
 	// every caller and every retrain flows through this funnel.
+	t0 = time.Now()
 	reg := r.ForRange(lo, hi)
 	m.EB = buildErrBounds(xs, ys, reg.Predict1, cfg.Seed)
-	return m, nil
+	st.Bounds = time.Since(t0)
+	return m, st, nil
+}
+
+// checkFinite rejects a training column holding a NaN or an infinity,
+// naming the column and the kind of value.
+func checkFinite(col string, vs []float64) error {
+	for _, v := range vs {
+		switch {
+		case math.IsNaN(v):
+			return fmt.Errorf("core: column %q has a NaN in the training sample", col)
+		case math.IsInf(v, 0):
+			return fmt.Errorf("core: column %q has an infinite value (%v) in the training sample", col, v)
+		}
+	}
+	return nil
 }
 
 // fitRegressor trains the configured regression-model family. Single
@@ -336,11 +394,12 @@ func trainUni(ctx context.Context, tb *table.Table, ms *ModelSet, xcol, ycol str
 	ms.Stats.SampleRows = len(idx)
 
 	t1 := time.Now()
-	m, err := trainPair(ctx, xcol, ycol, xs, ys, ms.N, c)
+	m, st, err := trainPair(ctx, xcol, ycol, xs, ys, ms.N, c)
 	if err != nil {
 		return err
 	}
 	ms.Stats.TrainTime = time.Since(t1)
+	ms.Stats.stages = st
 	ms.Uni = m
 	return nil
 }
@@ -371,6 +430,7 @@ func trainGrouped(ctx context.Context, tb *table.Table, ms *ModelSet, xcol, ycol
 	ms.GroupRows = make(map[int64]float64, len(gss))
 	ms.Raw = make(map[int64]*RawGroup)
 	models := make([]*UniModel, len(gss))
+	stages := make([]StageTimes, len(gss))
 	// Per-group training is embarrassingly parallel (§3).
 	trainErr := parallel.FirstError(len(gss), c.Workers, func(i int) error {
 		gs := gss[i]
@@ -382,11 +442,11 @@ func trainGrouped(ctx context.Context, tb *table.Table, ms *ModelSet, xcol, ycol
 		// Group training already fans out across workers; keep each
 		// group's grid build sequential to avoid nested oversubscription.
 		cfg.Workers = 1
-		m, err := trainPair(ctx, xcol, ycol, gs.xs, gs.ys, float64(counts[gs.g])*c.Scale, cfg)
+		m, st, err := trainPair(ctx, xcol, ycol, gs.xs, gs.ys, float64(counts[gs.g])*c.Scale, cfg)
 		if err != nil {
 			return fmt.Errorf("group %d: %w", gs.g, err)
 		}
-		models[i] = m
+		models[i], stages[i] = m, st
 		return nil
 	})
 	if trainErr != nil {
@@ -394,6 +454,7 @@ func trainGrouped(ctx context.Context, tb *table.Table, ms *ModelSet, xcol, ycol
 	}
 	for i, gs := range gss {
 		ms.GroupRows[gs.g] = float64(counts[gs.g]) * c.Scale
+		ms.Stats.stages.Add(stages[i])
 		if models[i] != nil {
 			ms.Groups[gs.g] = models[i]
 		} else {

@@ -121,17 +121,26 @@ func TestShardedK1EqualsUnsharded(t *testing.T) {
 					continue
 				}
 				// COUNT keeps the sliver below the support threshold that the
-				// partial drops; VARIANCE cancels two O(E[y]²) terms.
-				tol := 1e-9 * math.Abs(want.Value)
+				// partial drops; VARIANCE cancels two O(E[y]²) terms. STDDEV is
+				// the square root of that cancelled variance, and a root
+				// magnifies a residue near zero — on an edge sliver a variance
+				// of 3.6e-12 on one path and 0 on the other, both within the
+				// variance tolerance, are 1.9e-6 apart as deviations — so the
+				// two deviations are compared as the variances they came from.
+				gotV, wantV := got.Value, want.Value
+				tol := 1e-9 * math.Abs(wantV)
 				switch af {
 				case exact.Count:
 					tol += 1e-12 * ms.Uni.N
-				case exact.Variance, exact.StdDev:
-					tol = 1e-6 * math.Max(math.Abs(want.Value), 1)
+				case exact.StdDev:
+					gotV, wantV = gotV*gotV, wantV*wantV
+					fallthrough
+				case exact.Variance:
+					tol = 1e-6 * math.Max(math.Abs(wantV), 1)
 				case exact.Percentile:
 					tol = 1e-9 * (hi - lo)
 				}
-				if math.Abs(got.Value-want.Value) > tol {
+				if math.Abs(gotV-wantV) > tol {
 					t.Fatalf("%v yIsX=%v %v: K=1 %v, unsharded %v", af, yIsX, sp, got.Value, want.Value)
 				}
 				// A merged COUNT/SUM of exactly 0 (no shard had support) carries

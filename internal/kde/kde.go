@@ -12,12 +12,30 @@
 // For a Gaussian kernel the CDF is a closed-form sum of Φ terms, so range
 // mass ∫_lb^ub D(x)dx (COUNT, Eq. 1) and the PERCENTILE root-finding problem
 // (Eq. 4) need no numerical quadrature.
+//
+// Training evaluates the binned estimator tens of thousands of times per
+// model (every knot, panel midpoint and quadrature node of the evaluation
+// grid), so Binned's two sums cost what their arithmetic needs. Its nodes
+// are regular, which factors the kernel at node j0+k, seen from x = x_j0 + δ,
+// into exp(−δ²/2h²) · qᵏ · exp(−(k·step/h)²/2) with q = exp(δ·step/h²): the
+// last factor is tabulated once per estimator, the middle one is a running
+// product, and a density costs three exp calls instead of one per node in
+// the kernel window. That holds for every h/step — a bandwidth far below the
+// bin step leaves at most one node in the window and nothing to multiply, a
+// bandwidth far above it makes q ≈ 1 — at the price of one rounding per
+// step of the product, ≈ K ulps over a K-node reach (1e-13 at worst). The
+// CDF needs a Φ per window node whatever is done (the erfc floor), but only
+// per window node: the nodes below the window are a prefix sum read from a
+// table, added in the order the full loop would add them, so its values do
+// not change by a bit. See Binned.rawDensity and Binned.rawCDF.
 package kde
 
 import (
 	"errors"
 	"math"
 	"sort"
+	"sync/atomic"
+	"unsafe"
 )
 
 // kernelCutoff is the distance, in bandwidths, beyond which the Gaussian
@@ -206,6 +224,12 @@ type Binned struct {
 	Weights []float64 // bin masses, summing to 1
 	N       int       // training sample size (for bookkeeping)
 	Reflect bool      // boundary reflection at Lo and Hi
+
+	// tab is the *binnedTab of this estimator, nil until a Density or CDF
+	// call builds it. Unexported, so gob neither writes nor sizes it; an
+	// untyped pointer cell rather than an atomic.Pointer, so a Binned may
+	// still be copied by value.
+	tab unsafe.Pointer
 }
 
 // DefaultBins is the grid resolution used when 0 is passed to NewBinned.
@@ -265,52 +289,133 @@ func (b *Binned) step() float64 {
 	return (b.Hi - b.Lo) / float64(len(b.Weights)-1)
 }
 
+// binnedTab is what every Density and CDF call on one estimator shares: the
+// kernel at whole-bin offsets, the running bin mass, and the one reflection
+// term that does not depend on x. It is derived state — built on first use,
+// never persisted — and records the estimator it was built for, so a Binned
+// copied by value and then altered rebuilds it instead of reading stale
+// tables.
+type binnedTab struct {
+	lo, hi, h float64
+	w0        *float64 // &Weights[0]: the table belongs to this weight vector
+
+	step float64
+	// kern[k] = exp(−(k·step/h)²/2), for every offset k between two nodes.
+	kern []float64
+	// pre[i] = Weights[0] + … + Weights[i−1], summed in index order.
+	pre []float64
+	// upper is rawCDF(2Hi − Lo), the upper-edge reflection constant of CDF.
+	upper float64
+}
+
+// tables returns the estimator's shared tables, building them on first use.
+// Goroutines that race to build them compute identical tables, so whichever
+// store lands last is as good as the first; the pointer is only ever read
+// and written atomically.
+func (b *Binned) tables() *binnedTab {
+	t := (*binnedTab)(atomic.LoadPointer(&b.tab))
+	if t != nil && t.lo == b.Lo && t.hi == b.Hi && t.h == b.H &&
+		len(t.pre) == len(b.Weights)+1 && t.w0 == &b.Weights[0] {
+		return t
+	}
+	n := len(b.Weights)
+	t = &binnedTab{lo: b.Lo, hi: b.Hi, h: b.H, w0: &b.Weights[0], step: b.step()}
+	t.kern = make([]float64, n)
+	for k := range t.kern {
+		u := float64(k) * t.step / b.H
+		t.kern[k] = math.Exp(-0.5 * u * u)
+	}
+	t.pre = make([]float64, n+1)
+	for i, wi := range b.Weights {
+		t.pre[i+1] = t.pre[i] + wi
+	}
+	t.upper = b.rawCDF(t, 2*b.Hi-b.Lo)
+	atomic.StorePointer(&b.tab, unsafe.Pointer(t))
+	return t
+}
+
 // Density evaluates the pdf at x over the grid nodes within the cutoff.
 func (b *Binned) Density(x float64) float64 {
-	if len(b.Weights) == 1 {
+	switch len(b.Weights) {
+	case 0:
+		return 0 // no bins, no mass (a zero value, or a hostile catalog)
+	case 1:
 		return gaussKernel((x-b.Lo)/b.H) / b.H
 	}
 	if b.Reflect && (x < b.Lo || x > b.Hi) {
 		return 0
 	}
-	d := b.rawDensity(x)
+	t := b.tables()
+	d := b.rawDensity(t, x)
 	if b.Reflect {
 		// Reflect the spilled edge mass back into the support.
-		d += b.rawDensity(2*b.Lo - x)
-		d += b.rawDensity(2*b.Hi - x)
+		d += b.rawDensity(t, 2*b.Lo-x)
+		d += b.rawDensity(t, 2*b.Hi-x)
 	}
 	return d
 }
 
-func (b *Binned) rawDensity(x float64) float64 {
-	step := b.step()
+// rawDensity is the unreflected kernel sum at x, which may lie outside the
+// grid (the reflection arguments do). The nodes are regular, so with j0 the
+// in-window node nearest x and δ = x − x_j0 the kernel at node j0±k factors
+// as
+//
+//	exp(−(δ∓k·step)²/2h²) = exp(−δ²/2h²) · q^±k · kern[k],  q = exp(δ·step/h²)
+//
+// and the sum walks up and down from j0 with a running power of q: three
+// exp calls where the direct sum makes one per node in the window. The
+// running product picks up one rounding per step, so the sum differs from
+// the direct one by about as many ulps as the window has nodes to a side
+// (≤ len(kern), ~1e-13 relative at worst).
+//
+// The factors cannot overflow or vanish for any h/step: every in-window
+// term, and exp(−δ²/2h²) itself, lies in [e⁻³², 1], which bounds
+// q^±k·kern[k] by e³²; kern[k] ≤ 1 then bounds q^±k from below, and q is
+// only raised to a power when the window holds a second node, i.e. step ≤
+// 16h, where q^±k ≤ e¹²⁸.
+func (b *Binned) rawDensity(t *binnedTab, x float64) float64 {
+	w := b.Weights
 	r := kernelCutoff * b.H
-	lo := int(math.Ceil((x - r - b.Lo) / step))
-	hi := int(math.Floor((x + r - b.Lo) / step))
-	if lo < 0 {
-		lo = 0
+	// The window in node indices, clamped as floats: an x far outside the
+	// grid (or not a number) must not reach an int conversion.
+	flo := math.Max(math.Ceil((x-r-b.Lo)/t.step), 0)
+	fhi := math.Min(math.Floor((x+r-b.Lo)/t.step), float64(len(w)-1))
+	if !(flo <= fhi) {
+		return 0
 	}
-	if hi > len(b.Weights)-1 {
-		hi = len(b.Weights) - 1
-	}
-	sum := 0.0
-	for i := lo; i <= hi; i++ {
-		if b.Weights[i] == 0 {
-			continue
+	lo, hi := int(flo), int(fhi)
+	j0 := int(math.Min(math.Max(math.Round((x-b.Lo)/t.step), flo), fhi))
+	u0 := (x - (b.Lo + float64(j0)*t.step)) / b.H
+	a := u0 * (t.step / b.H)
+	sum := w[j0]
+	if j0 < hi {
+		q, p := math.Exp(a), 1.0
+		for i := j0 + 1; i <= hi; i++ {
+			p *= q
+			sum += w[i] * (p * t.kern[i-j0])
 		}
-		xi := b.Lo + float64(i)*step
-		sum += b.Weights[i] * gaussKernel((x-xi)/b.H)
 	}
-	return sum / b.H
+	if j0 > lo {
+		q, p := math.Exp(-a), 1.0
+		for i := j0 - 1; i >= lo; i-- {
+			p *= q
+			sum += w[i] * (p * t.kern[j0-i])
+		}
+	}
+	return gaussKernel(u0) * sum / b.H
 }
 
 // CDF evaluates the closed-form mixture CDF at x.
 func (b *Binned) CDF(x float64) float64 {
-	if len(b.Weights) == 1 {
+	switch len(b.Weights) {
+	case 0:
+		return 0
+	case 1:
 		return stdNormCDF((x - b.Lo) / b.H)
 	}
+	t := b.tables()
 	if !b.Reflect {
-		return b.rawCDF(x)
+		return b.rawCDF(t, x)
 	}
 	switch {
 	case x <= b.Lo:
@@ -321,8 +426,8 @@ func (b *Binned) CDF(x float64) float64 {
 	// F(x) = ∫_Lo^x [f_raw(t) + f_raw(2Lo−t) + f_raw(2Hi−t)] dt, where the
 	// two reflection integrals substitute to raw-CDF differences:
 	// lower: F_raw(Lo) − F_raw(2Lo−x); upper: F_raw(2Hi−Lo) − F_raw(2Hi−x).
-	c := b.rawCDF(x) - b.rawCDF(2*b.Lo-x) +
-		b.rawCDF(2*b.Hi-b.Lo) - b.rawCDF(2*b.Hi-x)
+	c := b.rawCDF(t, x) - b.rawCDF(t, 2*b.Lo-x) +
+		t.upper - b.rawCDF(t, 2*b.Hi-x)
 	if c < 0 {
 		return 0
 	}
@@ -332,23 +437,53 @@ func (b *Binned) CDF(x float64) float64 {
 	return c
 }
 
-func (b *Binned) rawCDF(x float64) float64 {
-	step := b.step()
-	sum := 0.0
-	for i, wi := range b.Weights {
-		if wi == 0 {
+// rawCDF is the unreflected mixture CDF at x: Σ wᵢ·Φ((x − xᵢ)/h) with Φ
+// taken as 1 at or above the cutoff and 0 at or below minus the cutoff.
+// (x − xᵢ)/h does not increase with i, so the nodes counted in full are a
+// prefix [0, full) — read from the running bin mass — and only the nodes of
+// the window [full, end) need a Φ. The two boundaries are estimated from
+// the node spacing and then settled by the same per-node comparison the
+// full loop would make, and the terms are added in index order, so the
+// value is bit for bit the full loop's.
+func (b *Binned) rawCDF(t *binnedTab, x float64) float64 {
+	w := b.Weights
+	n := len(w)
+	u := func(i int) float64 { return (x - (b.Lo + float64(i)*t.step)) / b.H }
+	r := kernelCutoff * b.H
+	full := nodeCount((x-r-b.Lo)/t.step+1, n)
+	for full > 0 && !(u(full-1) >= kernelCutoff) {
+		full--
+	}
+	for full < n && u(full) >= kernelCutoff {
+		full++
+	}
+	end := max(nodeCount((x+r-b.Lo)/t.step+1, n), full)
+	for end > full && !(u(end-1) > -kernelCutoff) {
+		end--
+	}
+	for end < n && u(end) > -kernelCutoff {
+		end++
+	}
+	sum := t.pre[full]
+	for i := full; i < end; i++ {
+		if w[i] == 0 {
 			continue
 		}
-		xi := b.Lo + float64(i)*step
-		u := (x - xi) / b.H
-		switch {
-		case u >= kernelCutoff:
-			sum += wi
-		case u > -kernelCutoff:
-			sum += wi * stdNormCDF(u)
-		}
+		sum += w[i] * stdNormCDF(u(i))
 	}
 	return sum
+}
+
+// nodeCount converts a node count computed in floats to an int in [0, n];
+// a NaN counts as none.
+func nodeCount(f float64, n int) int {
+	if !(f > 0) {
+		return 0
+	}
+	if f > float64(n) {
+		return n
+	}
+	return int(f)
 }
 
 // Mass returns ∫_lb^ub D, clamping reversed bounds to zero mass.

@@ -69,6 +69,7 @@ func shardedTrainInfo(sets []*core.ModelSet) *TrainInfo {
 		info.SampleRows += ms.Stats.SampleRows
 		info.SampleTime += ms.Stats.SampleTime
 		info.TrainTime += ms.Stats.TrainTime
+		info.Stages.Add(ms.Stats.Stages())
 	}
 	return info
 }
