@@ -1,7 +1,7 @@
 // Command dbest-bench regenerates the paper's evaluation figures. Each
-// experiment prints the same series the corresponding figure plots (see
-// DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured comparisons).
+// experiment prints the same series the corresponding figure plots, then
+// note: lines quoting the paper's numbers beside ours (see README,
+// "Reproducing the paper's evaluation").
 //
 // Usage:
 //

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dbest"
+	"dbest/internal/sqlparse"
 )
 
 // server exposes one shared dbest.Engine over HTTP/JSON. The engine is
@@ -120,12 +121,35 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorJSON{Error: err.Error()})
 }
 
+// Request body limits, per endpoint. A body past its limit is refused whole
+// with 413, never truncated into something that fails to decode.
+const (
+	maxQueryBody  = 1 << 20  // /query and /explain
+	maxBatchBody  = 8 << 20  // /query/batch
+	maxTrainBody  = 1 << 20  // /train
+	maxIngestBody = 32 << 20 // /ingest
+)
+
+// writeBodyError answers a failed request-body read: 413, naming the limit,
+// when the body ran past it (http.MaxBytesReader), 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds the limit of %d bytes", tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
+}
+
 // readSQL extracts the SQL statement from a request: ?sql= on GET, a JSON
 // body {"sql": "..."} (or raw SQL text) on POST. An optional error budget —
 // ?tolerance= on GET, "tolerance" in the JSON body, in percent — is folded
 // into the statement as a WITHIN clause, so the engine's router serves the
-// query from a model only when its predicted error fits the budget.
-func readSQL(r *http.Request) (string, error) {
+// query from a model only when its predicted error fits the budget. A POST
+// body past maxQueryBody fails with the *http.MaxBytesError writeBodyError
+// turns into a 413.
+func readSQL(w http.ResponseWriter, r *http.Request) (string, error) {
 	switch r.Method {
 	case http.MethodGet:
 		sql := r.URL.Query().Get("sql")
@@ -141,7 +165,7 @@ func readSQL(r *http.Request) (string, error) {
 		}
 		return sql, nil
 	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
 		if err != nil {
 			return "", err
 		}
@@ -166,9 +190,12 @@ func readSQL(r *http.Request) (string, error) {
 
 // withTolerance appends a WITHIN <pct>% clause to sql (stripping a trailing
 // semicolon first so the clause parses). A statement that already carries
-// its own WITHIN clause is returned unchanged — the inline budget wins.
+// its own WITHIN clause — as the parser reads it, so not a string literal or
+// an identifier that merely contains the word — is returned unchanged: the
+// inline budget wins. So is one that does not parse, which the engine then
+// rejects with its own error.
 func withTolerance(sql string, pct float64) string {
-	if strings.Contains(strings.ToUpper(sql), "WITHIN") {
+	if q, err := sqlparse.Parse(sql); err != nil || q.HasTolerance {
 		return sql
 	}
 	s := strings.TrimRight(strings.TrimSpace(sql), "; \t\r\n")
@@ -177,9 +204,9 @@ func withTolerance(sql string, pct float64) string {
 
 // handleQuery answers one SQL query from the shared engine.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sql, err := readSQL(r)
+	sql, err := readSQL(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	res, err := s.eng.Query(sql)
@@ -229,8 +256,8 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -266,9 +293,9 @@ func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleExplain reports the plan for one SQL query without running it.
 func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	sql, err := readSQL(r)
+	sql, err := readSQL(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	plan, err := s.eng.Explain(sql)
@@ -301,8 +328,8 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec trainRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTrainBody)).Decode(&spec); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	// Spec validation failures are the client's fault (400); training
@@ -377,8 +404,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ingestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 32<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody)).Decode(&req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if req.Table == "" || len(req.Rows) == 0 {

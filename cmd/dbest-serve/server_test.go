@@ -930,7 +930,7 @@ func TestSketchEndpoints(t *testing.T) {
 	}
 }
 
-// TestStatsContract pins the /stats wire format: exactly these 30 keys, each
+// TestStatsContract pins the /stats wire format: exactly these 29 keys, each
 // with this JSON kind. The handler emits the engine's tagged Stats structs,
 // so renaming a tag or dropping a struct from the response fails here rather
 // than in whoever scrapes the endpoint (bench/target.go decodes 13 of them).
@@ -954,14 +954,14 @@ func TestStatsContract(t *testing.T) {
 		"refresh_failures": "number", "refresh_last_error": "string",
 		"refresh_total_retrain_us": "number", "refresh_last_retrain_us": "number", "tracked_models": "number",
 		"shards_evaluated": "number", "shards_pruned": "number",
-		"grid_hits": "number", "grid_fallbacks": "number", "quad_nonconverged": "number",
+		"grid_hits": "number", "grid_fallbacks": "number",
 		"sketch_hits": "number", "sketch_updates": "number", "sketch_bytes": "number",
 		"router_model_hits": "number", "router_exact_fallbacks": "number",
 		"router_observations": "number", "router_tracked_models": "number",
 		"uptime_seconds": "number",
 	}
-	if len(want) != 30 {
-		t.Fatalf("the contract lists %d keys, want 30", len(want))
+	if len(want) != 29 {
+		t.Fatalf("the contract lists %d keys, want 29", len(want))
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
@@ -1004,5 +1004,55 @@ func TestStatsContract(t *testing.T) {
 	}
 	if got["refresh_running"] != true || got["refresh_last_error"] == "" || got["tracked_models"] != float64(1) {
 		t.Errorf("/stats = %v: want a running refresher with one tracked model and a recorded error", got)
+	}
+}
+
+// TestWithToleranceReadsTheParsedClause: a ?tolerance= budget is dropped
+// only for a statement that carries its own WITHIN clause, not for one
+// whose string literal or identifier merely contains the word.
+func TestWithToleranceReadsTheParsedClause(t *testing.T) {
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT AVG(y) FROM t WHERE ch = 'within reach' AND x BETWEEN 1 AND 2",
+			"SELECT AVG(y) FROM t WHERE ch = 'within reach' AND x BETWEEN 1 AND 2 WITHIN 5%"},
+		{"SELECT AVG(within_ms) FROM t WHERE x BETWEEN 1 AND 2;",
+			"SELECT AVG(within_ms) FROM t WHERE x BETWEEN 1 AND 2 WITHIN 5%"},
+		{"SELECT AVG(y) FROM t WHERE x BETWEEN 1 AND 2 WITHIN 2%",
+			"SELECT AVG(y) FROM t WHERE x BETWEEN 1 AND 2 WITHIN 2%"},
+	} {
+		if got := withTolerance(c.sql, 5); got != c.want {
+			t.Errorf("withTolerance(%q, 5) = %q, want %q", c.sql, got, c.want)
+		}
+	}
+}
+
+// TestBodyLimits: a request body one byte past its endpoint's limit is
+// refused with 413 and the limit in the message, instead of being cut short
+// into a JSON syntax error.
+func TestBodyLimits(t *testing.T) {
+	h := newHandler(dbest.New(nil))
+	for _, c := range []struct {
+		path, prefix string
+		limit        int
+	}{
+		{"/query", `{"sql":"`, maxQueryBody},
+		{"/explain", `{"sql":"`, maxQueryBody},
+		{"/query/batch", `{"queries":["`, maxBatchBody},
+		{"/train", `{"table":"`, maxTrainBody},
+		{"/ingest", `{"table":"`, maxIngestBody},
+	} {
+		suffix := `"}`
+		if c.path == "/query/batch" {
+			suffix = `"]}`
+		}
+		body := c.prefix + strings.Repeat("a", c.limit+1-len(c.prefix)-len(suffix)) + suffix
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(body)))
+		var e errorJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+			t.Fatalf("%s: bad JSON %q: %v", c.path, rec.Body.Bytes(), err)
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(e.Error, fmt.Sprint(c.limit)) {
+			t.Errorf("%s with a %d-byte body = %d %q, want 413 naming the %d-byte limit", c.path, len(body), rec.Code, e.Error, c.limit)
+		}
 	}
 }

@@ -18,7 +18,7 @@
 //
 //	CREATE MODEL <name> ON <tbl>(x[,x2]; y) [JOIN <tbl2> ON lk = rk
 //	    [FRACTION n/d]] [GROUP BY c] [NOMINAL BY c] [SHARDS k]
-//	    [SAMPLE n] [SEED s] [GRID g]  train models from a declarative spec
+//	    [SAMPLE n] [SEED s]           train models from a declarative spec
 //	CREATE SKETCH <name> ON <tbl>(col) [TYPE HLL|TOPK] [PRECISION p] [K k]
 //	                              build a mergeable sketch for
 //	                              COUNT(DISTINCT col) / TOP k(col)

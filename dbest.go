@@ -237,14 +237,12 @@ func (e *Engine) SnapshotStats() SnapshotStats {
 }
 
 // EvalKernelStats is a snapshot of the process-wide evaluation-kernel
-// counters: how many model-path integrals were answered by a train-time
-// prefix-integral grid vs by adaptive quadrature, and how many quadrature
-// runs exhausted their subdivision budget and had their best estimate
-// accepted (previously a silently swallowed condition).
+// counters: how many univariate model-path integrals a train-time
+// prefix-integral grid answered, and how many multivariate integrals ran
+// through tensor quadrature — the only quadrature left on the serving path.
 type EvalKernelStats struct {
-	GridHits         uint64 `json:"grid_hits"`
-	GridFallbacks    uint64 `json:"grid_fallbacks"`
-	QuadNonconverged uint64 `json:"quad_nonconverged"`
+	GridHits      uint64 `json:"grid_hits"`
+	GridFallbacks uint64 `json:"grid_fallbacks"`
 }
 
 // EvalKernelStats returns the evaluation-kernel counters. They are
@@ -253,9 +251,8 @@ type EvalKernelStats struct {
 func (e *Engine) EvalKernelStats() EvalKernelStats {
 	c := core.ReadEvalCounters()
 	return EvalKernelStats{
-		GridHits:         c.GridHits,
-		GridFallbacks:    c.GridFallbacks,
-		QuadNonconverged: c.QuadNonconverged,
+		GridHits:      c.GridHits,
+		GridFallbacks: c.GridFallbacks,
 	}
 }
 

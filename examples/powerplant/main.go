@@ -18,7 +18,8 @@ import (
 
 func main() {
 	// The real CCPP set has 9 568 rows; the paper scales it up. We generate
-	// a 2M-row statistically-shaped equivalent (see DESIGN.md §2).
+	// a 2M-row statistically-shaped equivalent (see README, "Reproducing the
+	// paper's evaluation").
 	tb := datagen.ScaleUp(datagen.CCPP(0, 7), 2_000_000, 0.005, 7)
 
 	eng := dbest.New(nil)

@@ -13,7 +13,7 @@ import (
 
 // Engine-level grid lifecycle tests: the evaluation grid must survive gob
 // persistence, be rebuilt by the background refresher on retrain, and be
-// absent (with the quadrature fallback serving) when trained GRID OFF.
+// rebuilt at load for a catalog saved without one (grid_load_internal_test.go).
 
 // explainKernel returns the kernel= tag of the plan for sql.
 func explainKernel(t *testing.T, eng *dbest.Engine, sql string) string {
@@ -92,30 +92,6 @@ func TestGridSurvivesPersistence(t *testing.T) {
 	}
 }
 
-// TestGridOffTrainsAndServesOnQuadrature covers the GridKnots escape hatch
-// end to end: EXPLAIN reports the quad kernel and queries move only the
-// fallback counter.
-func TestGridOffTrainsAndServesOnQuadrature(t *testing.T) {
-	eng := dbest.New(nil)
-	if err := eng.RegisterTable(streamTable(3000, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
-		Table: "stream", XCols: []string{"x"}, YCol: "y", SampleSize: 1000, Seed: 1,
-		GridKnots: -1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	avgSQL := "SELECT AVG(y) FROM stream WHERE x BETWEEN 200 AND 800"
-	if k := explainKernel(t, eng, avgSQL); k != "quad" {
-		t.Fatalf("kernel = %q, want quad", k)
-	}
-	hits, fallbacks := queryKernelDelta(t, eng, avgSQL)
-	if fallbacks == 0 || hits != 0 {
-		t.Fatalf("GRID OFF query moved hits=%d fallbacks=%d, want quadrature-only", hits, fallbacks)
-	}
-}
-
 // TestRefresherRebuildsGrid verifies a background retrain produces a model
 // that still serves from a grid — the rebuild rides the trainPair funnel,
 // so a refresh must not degrade the ensemble to the quadrature path.
@@ -159,13 +135,12 @@ func TestRefresherRebuildsGrid(t *testing.T) {
 // prefix tables are derived state, built on first use and never written. So
 // a catalog saved from an engine that built them (training evaluates the
 // density) and one saved from an engine that loaded it are the same bytes,
-// and the loaded engine — which rebuilds the tables when a GRID OFF model
-// first integrates its density — answers every query bit for bit like the
-// engine that trained.
+// and the loaded engine answers every query bit for bit like the engine
+// that trained.
 func TestLoadedCatalogAnswersBitEqual(t *testing.T) {
-	eng := newStreamEngine(t, 4000) // a gridded model x → y
+	eng := newStreamEngine(t, 4000) // a model x → y
 	if _, err := eng.CreateModel(context.Background(), &dbest.ModelSpec{
-		Table: "stream", XCols: []string{"y"}, YCol: "x", SampleSize: 1000, Seed: 2, GridKnots: -1,
+		Table: "stream", XCols: []string{"y"}, YCol: "x", SampleSize: 1000, Seed: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +155,8 @@ func TestLoadedCatalogAnswersBitEqual(t *testing.T) {
 	if err := loaded.LoadModels(dir + "/trained.gob"); err != nil {
 		t.Fatal(err)
 	}
-	quadSQL := "SELECT AVG(x) FROM stream WHERE y BETWEEN 300 AND 1500"
-	if k := explainKernel(t, loaded, quadSQL); k != "quad" {
-		t.Fatalf("GRID OFF model loaded with kernel %q, want quad", k)
-	}
 	for _, sql := range []string{
-		quadSQL,
+		"SELECT AVG(x) FROM stream WHERE y BETWEEN 300 AND 1500",
 		"SELECT COUNT(*) FROM stream WHERE y BETWEEN 300 AND 1500",
 		"SELECT SUM(x) FROM stream WHERE y BETWEEN 0 AND 2100",
 		"SELECT VARIANCE(x) FROM stream WHERE y BETWEEN 900 AND 1000",

@@ -54,7 +54,9 @@ func WriteBundle(path string, ms *core.ModelSet) (BundleStats, error) {
 	return st, nil
 }
 
-// ReadBundle loads a bundle from path, reporting deserialization time.
+// ReadBundle loads a bundle from path, reporting deserialization time. A
+// model bundled without an evaluation grid gets it rebuilt, as a catalog
+// load does.
 func ReadBundle(path string) (*core.ModelSet, BundleStats, error) {
 	var st BundleStats
 	t0 := time.Now()
@@ -66,6 +68,9 @@ func ReadBundle(path string) (*core.ModelSet, BundleStats, error) {
 	var b Bundle
 	if err := gob.NewDecoder(f).Decode(&b); err != nil {
 		return nil, st, fmt.Errorf("catalog: decode bundle: %w", err)
+	}
+	if err := b.Set.EnsureGrids(); err != nil {
+		return nil, st, fmt.Errorf("catalog: bundle: %w", err)
 	}
 	info, err := f.Stat()
 	if err != nil {

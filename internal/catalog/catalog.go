@@ -237,7 +237,9 @@ func (c *Catalog) Save(w io.Writer) error {
 // whose shard-suffixed keys do not form complete ensembles — shards
 // missing, or the same column pair saved under mixed shard counts — is
 // rejected and the current catalog is left untouched: loading it would
-// silently serve a partial ensemble that drops part of the x-domain.
+// silently serve a partial ensemble that drops part of the x-domain. Models
+// saved without an evaluation grid get theirs rebuilt (core's EnsureGrids);
+// one that cannot be tabulated rejects the file the same way.
 func (c *Catalog) Load(r io.Reader) error {
 	var sets []*core.ModelSet
 	if err := gob.NewDecoder(r).Decode(&sets); err != nil {
@@ -249,6 +251,11 @@ func (c *Catalog) Load(r io.Reader) error {
 	}
 	if err := validateShardEnsembles(models); err != nil {
 		return err
+	}
+	for _, ms := range sets {
+		if err := ms.EnsureGrids(); err != nil {
+			return fmt.Errorf("catalog: %w", err)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -481,11 +482,25 @@ func TestInvalidateBumpsGenerationWithoutMutation(t *testing.T) {
 	}
 }
 
+// stubUni is one small trained model pair that every shardSet member
+// shares: the catalog tests care about keys and shard metadata, and a
+// loaded catalog must hold models that can serve.
+var stubUni = sync.OnceValue(func() *core.UniModel {
+	tb := table.New("stub")
+	tb.AddFloatColumn("x", []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	tb.AddFloatColumn("y", []float64{2, 4, 6, 8, 10, 12, 14, 16})
+	ms, err := core.Train(tb, []string{"x"}, "y", &core.TrainConfig{Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	return ms.Uni
+})
+
 // shardSet builds a minimal sharded model-set member for catalog tests.
 func shardSet(tbl, x, y string, i, k int) *core.ModelSet {
 	return &core.ModelSet{
 		Table: tbl, XCols: []string{x}, YCol: y, N: 100,
-		Uni:   &core.UniModel{XCol: x, YCol: y, N: 100},
+		Uni:   stubUni(),
 		Shard: i, Shards: k,
 		ShardLo: float64(i * 10), ShardHi: float64((i + 1) * 10),
 	}
@@ -607,6 +622,47 @@ func TestLoadRejectsPartialShardEnsembles(t *testing.T) {
 	c2.Put(shardSet("t", "x", "y", 2, 4))
 	if err := dst.Load(bytes.NewReader(save(c2))); err == nil {
 		t.Fatal("want error loading mixed shard counts")
+	}
+}
+
+// TestLoadRejectsModelWithoutGrid: a model saved without an evaluation
+// grid gets one at load, from its density and regressor; one that has
+// neither to build it from rejects the file, naming the model, and the
+// current catalog stays.
+func TestLoadRejectsModelWithoutGrid(t *testing.T) {
+	var buf bytes.Buffer
+	src := New()
+	src.Put(trainedSet(t, "a", ""))
+	src.Put(&core.ModelSet{Table: "t", XCols: []string{"x"}, YCol: "y", N: 1,
+		Uni: &core.UniModel{XCol: "x", YCol: "y", N: 1}})
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := New()
+	dst.Put(trainedSet(t, "kept", ""))
+	err := dst.Load(bytes.NewReader(buf.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "t|x|y|") || !strings.Contains(err.Error(), "grid") {
+		t.Fatalf("Load = %v, want an error naming model t|x|y| and its grid", err)
+	}
+	if dst.Len() != 1 || dst.Get(core.Key("kept", []string{"x"}, "y", "")) == nil {
+		t.Fatal("failed load must leave the previous catalog intact")
+	}
+
+	// Without its grid, a trained model loads with the one training built.
+	ms := trainedSet(t, "b", "")
+	want := ms.Uni.Grid
+	ms.Uni.Grid = nil
+	buf.Reset()
+	src = New()
+	src.Put(ms)
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.Get(ms.Key()).Uni.Grid; !reflect.DeepEqual(got, want) {
+		t.Fatal("the grid rebuilt at load differs from the one training built")
 	}
 }
 

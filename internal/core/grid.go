@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -36,10 +38,20 @@ import (
 // the density path uses. AVG of a range where the ensemble predicts a
 // constant is exactly that constant: numerator and denominator share ΔCDF.
 //
-// The adaptive rule remains the runtime fallback: a grid that fails
-// build-time validation (a constituent that is not piecewise linear over
-// the panels, a degenerate support) is discarded and the model keeps
-// answering through quadrature.
+// The x-moment tables and the intercepts b are kept in the centred
+// coordinate u = x − C, C the middle of the knot span; the knots stay in x.
+// A column of epoch microseconds (x ≈ 1.7e15 over a day) then tabulates
+// moments of |u| ≤ 4e10 instead of x ≈ 1e15, and b = R(x) − a·u no longer
+// cancels a·x against R(x) to a few digits. MomentX adds the centre back.
+//
+// The grid is the only serving kernel: every published univariate model
+// carries one, and no query reads the density estimator. A pair whose grid
+// fails build-time validation — a constituent that is not piecewise linear
+// over the panels, a support too narrow for float64 to place knots in, one
+// far outlier stretching the support until the panels near the data cannot
+// follow the CDF — is refused at train time (errNoGrid) instead of served
+// some other way. internal/quadrature stays as the build's panel integrator
+// and the tests' oracle.
 //
 // What a build evaluates, per model: the closed-form CDF and the density
 // once at every knot and once at every panel midpoint that refinement looks
@@ -52,10 +64,10 @@ import (
 // and per-panel evaluations fan out over TrainConfig.Workers, each into its
 // own slot, so the tables do not depend on the schedule.
 
-// DefaultGridKnots is the base knot budget used when TrainConfig.GridKnots
-// is 0. Ensemble breakpoints are added on top; at default training sizes a
-// grid costs on the order of 100 KB per model — within the paper's "a few
-// 100s KBs" model budget.
+// DefaultGridKnots is the base knot budget of every grid. Ensemble
+// breakpoints are added on top, and refinement splits panels until the CDF
+// holds; at default training sizes a grid costs on the order of 100 KB per
+// model — within the paper's "a few 100s KBs" model budget.
 const DefaultGridKnots = 512
 
 // maxGridKnots bounds the knot vector against pathological breakpoint
@@ -73,32 +85,27 @@ const maxGridKnots = 32768
 const gridErrBound = 1e-8
 
 // Process-wide evaluation-kernel counters (exposed as /stats fields).
-// gridHits/gridFallbacks count model-path integral evaluations answered by
-// a grid vs by the gridless fallbacks (adaptive quadrature for the moment
-// integrals, the O(bins) closed-form CDF for the mass — a grid's own mass
-// lookups ride along uncounted); quadNonconverged counts quadrature runs
-// that exhausted their subdivision budget (ErrMaxIter) and had their best
-// estimate silently accepted — previously invisible, now observable.
+// gridHits counts univariate moment and quantile evaluations answered by a
+// grid (its mass lookups ride along uncounted); gridFallbacks counts the
+// multivariate path's tensor-quadrature integrals, the only quadrature left
+// on the serving path.
 var (
-	gridHits         atomic.Uint64
-	gridFallbacks    atomic.Uint64
-	quadNonconverged atomic.Uint64
+	gridHits      atomic.Uint64
+	gridFallbacks atomic.Uint64
 )
 
 // EvalCounters is a snapshot of the process-wide evaluation-kernel
 // counters.
 type EvalCounters struct {
-	GridHits         uint64
-	GridFallbacks    uint64
-	QuadNonconverged uint64
+	GridHits      uint64
+	GridFallbacks uint64
 }
 
 // ReadEvalCounters snapshots the evaluation-kernel counters.
 func ReadEvalCounters() EvalCounters {
 	return EvalCounters{
-		GridHits:         gridHits.Load(),
-		GridFallbacks:    gridFallbacks.Load(),
-		QuadNonconverged: quadNonconverged.Load(),
+		GridHits:      gridHits.Load(),
+		GridFallbacks: gridFallbacks.Load(),
 	}
 }
 
@@ -109,7 +116,6 @@ func ReadEvalCounters() EvalCounters {
 func ResetEvalCounters() {
 	gridHits.Store(0)
 	gridFallbacks.Store(0)
-	quadNonconverged.Store(0)
 }
 
 // EvalGrid is a model's precomputed prefix-integral table set. The
@@ -119,19 +125,22 @@ func ResetEvalCounters() {
 // of the constituent ForRange resolves to.
 //
 // The density tables interpolate with cubic Hermite segments whose knot
-// derivatives are exact (D for CumD, x·D for CumXD, x²·D for CumX2D):
+// derivatives are exact (D for CumD, u·D for CumXD, u²·D for CumX2D):
 // O(h⁴) between knots, exact at knots. CumD is anchored by the closed-form
 // CDF at every knot, so the CDF tables carry no accumulated quadrature
 // error.
 type EvalGrid struct {
-	Knots  []float64 // strictly increasing, spanning the density support
+	Knots []float64 // strictly increasing, spanning the density support
+	// C centres the moment tables and intercepts: u = x − C. Grids saved
+	// before the centring decode with C = 0, which is what they tabulated.
+	C      float64
 	DVal   []float64 // D(knot): derivative of CumD
 	CumD   []float64 // closed-form CDF at knots
-	CumXD  []float64 // prefix ∫ x·D
-	CumX2D []float64 // prefix ∫ x²·D
+	CumXD  []float64 // prefix ∫ u·D
+	CumX2D []float64 // prefix ∫ u²·D
 
 	// Per-constituent panel coefficients (length len(Knots)−1): within
-	// panel k, R_c(x) = RA[c][k]·x + RB[c][k].
+	// panel k, R_c(x) = RA[c][k]·u + RB[c][k].
 	RA [][]float64
 	RB [][]float64
 	// Per-constituent prefix integrals at knots.
@@ -143,11 +152,32 @@ type EvalGrid struct {
 	MaxRelErr float64
 }
 
-// Valid reports whether the grid can answer lookups. A nil receiver is
-// valid to query (models from old catalogs decode with a nil grid).
+// Valid reports whether the grid's tables have the shapes lookups index:
+// every knot table as long as the knots, and per constituent a panel
+// coefficient and two knot prefixes. A nil receiver is not valid (models
+// saved with grids disabled decode with a nil grid).
 func (g *EvalGrid) Valid() bool {
-	return g != nil && len(g.Knots) >= 2 && len(g.CumD) == len(g.Knots)
+	if g == nil || len(g.Knots) < 2 {
+		return false
+	}
+	nk := len(g.Knots)
+	if len(g.DVal) != nk || len(g.CumD) != nk || len(g.CumXD) != nk || len(g.CumX2D) != nk {
+		return false
+	}
+	nc := len(g.CumDR)
+	if nc == 0 || len(g.RA) != nc || len(g.RB) != nc || len(g.CumDR2) != nc {
+		return false
+	}
+	for c := 0; c < nc; c++ {
+		if len(g.RA[c]) != nk-1 || len(g.RB[c]) != nk-1 || len(g.CumDR[c]) != nk || len(g.CumDR2[c]) != nk {
+			return false
+		}
+	}
+	return true
 }
+
+// Span returns the knot span — the density support the grid tabulates.
+func (g *EvalGrid) Span() (lo, hi float64) { return g.Knots[0], g.Knots[len(g.Knots)-1] }
 
 // segment locates the panel containing x: the largest k with Knots[k] <= x,
 // clamped to [0, len(Knots)-2].
@@ -175,17 +205,18 @@ func hermite(x0, x1, c0, c1, d0, d1, x float64) float64 {
 	return (2*t3-3*t2+1)*c0 + (t3-2*t2+t)*h*d0 + (-2*t3+3*t2)*c1 + (t3-t2)*h*d1
 }
 
-// momentXOnSegment interpolates the x-moment prefix (power 1 or 2) on panel
+// momentXOnSegment interpolates the u-moment prefix (power 1 or 2) on panel
 // k, using the exact integrand values at the knots as derivatives.
 func (g *EvalGrid) momentXOnSegment(power, k int, x float64) float64 {
 	x0, x1 := g.Knots[k], g.Knots[k+1]
+	u0, u1 := x0-g.C, x1-g.C
 	if power == 1 {
-		return hermite(x0, x1, g.CumXD[k], g.CumXD[k+1], x0*g.DVal[k], x1*g.DVal[k+1], x)
+		return hermite(x0, x1, g.CumXD[k], g.CumXD[k+1], u0*g.DVal[k], u1*g.DVal[k+1], x)
 	}
-	return hermite(x0, x1, g.CumX2D[k], g.CumX2D[k+1], x0*x0*g.DVal[k], x1*x1*g.DVal[k+1], x)
+	return hermite(x0, x1, g.CumX2D[k], g.CumX2D[k+1], u0*u0*g.DVal[k], u1*u1*g.DVal[k+1], x)
 }
 
-// momentXAt interpolates the x-moment prefix at x, clamped to the knot span
+// momentXAt interpolates the u-moment prefix at x, clamped to the knot span
 // (the integrand vanishes outside the support).
 func (g *EvalGrid) momentXAt(power int, x float64) float64 {
 	n := len(g.Knots)
@@ -251,9 +282,15 @@ func (g *EvalGrid) Mass(lb, ub float64) float64 {
 // CDF returns the interpolated cumulative distribution at x.
 func (g *EvalGrid) CDF(x float64) float64 { return g.cdfAt(x) }
 
-// MomentX returns ∫_lb^ub x^power·D for power 1 or 2.
-func (g *EvalGrid) MomentX(power int, lb, ub float64) float64 {
-	return g.momentXAt(power, ub) - g.momentXAt(power, lb)
+// MomentX returns ∫_lb^ub x^power·D for power 1 or 2, given mass, the
+// caller's ∫_lb^ub D over the same range: the tables hold the moments of
+// u = x − C, and x = u + C adds the centre back.
+func (g *EvalGrid) MomentX(power int, lb, ub, mass float64) float64 {
+	m1 := g.momentXAt(1, ub) - g.momentXAt(1, lb)
+	if power == 1 {
+		return m1 + g.C*mass
+	}
+	return g.momentXAt(2, ub) - g.momentXAt(2, lb) + g.C*(2*m1+g.C*mass)
 }
 
 // Constituents returns how many per-constituent regression tables the grid
@@ -332,18 +369,20 @@ func (g *EvalGrid) InvertCDF(p float64) float64 {
 // to align panels with prediction discontinuities. A constituent that does
 // not implement it (or whose breakpoints were thinned by maxGridKnots) is
 // not necessarily linear within panels — validation then decides whether
-// the grid still holds up or the model stays on quadrature.
+// the grid still holds up or the pair is refused.
 type breakpointer interface{ Breakpoints() []float64 }
 
-// gridKnots places the base knots over the density support — half uniform
-// (so sparse regions are still covered) and half at equal increments of
-// binned mass (so panels shrink where D concentrates) — then merges the
-// ensemble breakpoints in. Returns nil when the support is degenerate.
-func gridKnots(d *kde.Binned, n int, jumps []float64) []float64 {
+// gridKnots places DefaultGridKnots base knots over the density support —
+// half uniform (so sparse regions are still covered) and half at equal
+// increments of binned mass (so panels shrink where D concentrates) — then
+// merges the ensemble breakpoints in. Returns nil when the support is
+// degenerate.
+func gridKnots(d *kde.Binned, jumps []float64) []float64 {
 	lo, hi := d.Support()
-	if !(hi > lo) || n < 8 {
+	if !(hi > lo) {
 		return nil
 	}
+	n := DefaultGridKnots
 	half := n / 2
 	pts := make([]float64, 0, n+2)
 	for i := 0; i <= half; i++ {
@@ -526,7 +565,7 @@ func refineCDFKnots(d *kde.Binned, kn []float64, workers int) refinedKnots {
 // baseKnots places the model's knot vector before refinement: the base
 // grid over the density support merged with every breakpoint of the
 // ensemble's constituents. nil means the support is degenerate.
-func (m *UniModel) baseKnots(knots int) []float64 {
+func (m *UniModel) baseKnots() []float64 {
 	var jumps []float64
 	for _, reg := range m.R.Models {
 		if bp, ok := reg.(breakpointer); ok {
@@ -534,29 +573,38 @@ func (m *UniModel) baseKnots(knots int) []float64 {
 		}
 	}
 	sort.Float64s(jumps)
-	return gridKnots(m.D, knots, jumps)
+	return gridKnots(m.D, jumps)
 }
 
-// buildGrid tabulates the model's prefix-integral grid with the given base
-// knot budget, validates it, and returns nil — leaving the model on the
-// quadrature path — if the support is degenerate or validation fails.
-func buildGrid(m *UniModel, knots, workers int) *EvalGrid {
+// errNoGrid marks a model pair whose evaluation grid cannot be tabulated.
+// Training refuses such a pair and a catalog holding one fails to load:
+// there is no other kernel to serve it.
+var errNoGrid = errors.New("no evaluation grid")
+
+// buildGrid tabulates the model's prefix-integral grid and validates it. It
+// fails with errNoGrid — naming the column, the support and the worst
+// relative error validation met — when the support is degenerate or
+// validation fails.
+func buildGrid(m *UniModel, workers int) (*EvalGrid, error) {
 	if m.D == nil || m.R == nil || len(m.R.Models) == 0 {
-		return nil
+		return nil, fmt.Errorf("column %q: %w: the model has no density or regressor to tabulate", m.XCol, errNoGrid)
 	}
-	kn := m.baseKnots(knots)
+	kn := m.baseKnots()
 	if kn == nil {
-		return nil
+		lo, hi := m.D.Support()
+		return nil, fmt.Errorf("column %q: %w over support [%g, %g]: no room for knots at float64 resolution",
+			m.XCol, errNoGrid, lo, hi)
 	}
 	return m.tabulateGrid(refineCDFKnots(m.D, kn, workers), workers)
 }
 
 // tabulateGrid fills the tables over refined knots and validates them.
-func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
+func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) (*EvalGrid, error) {
 	nc := len(m.R.Models)
 	kn, cumD, dVal := rk.knots, rk.cumD, rk.dVal
 	nk := len(kn)
 	panels := nk - 1
+	centre := 0.5 * (kn[0] + kn[nk-1])
 
 	// One fused Gauss–Kronrod pass per panel: the KDE density is the
 	// dominant factor cost and all integrands share it. The D·R prefix
@@ -564,20 +612,18 @@ func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
 	// validation reference for the linear-R reconstruction below.
 	pref := quadrature.CumulativeGK15(func(x float64, out []float64) {
 		d := m.D.Density(x)
-		out[0] = x * d
-		out[1] = x * x * d
+		u := x - centre
+		out[0] = u * d
+		out[1] = u * u * d
 		for c := 0; c < nc; c++ {
 			r := m.R.Models[c].Predict1(x)
 			out[2+2*c] = d * r
 			out[3+2*c] = d * r * r
 		}
 	}, 2+2*nc, kn, workers)
-	if pref == nil {
-		return nil
-	}
 
 	g := &EvalGrid{
-		Knots: kn, CumXD: pref[0], CumX2D: pref[1],
+		Knots: kn, C: centre, CumXD: pref[0], CumX2D: pref[1],
 		DVal: dVal, CumD: cumD,
 		RA: make([][]float64, nc), RB: make([][]float64, nc),
 		CumDR: make([][]float64, nc), CumDR2: make([][]float64, nc),
@@ -601,11 +647,11 @@ func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
 				a = (rb - ra) / (xb - xa)
 			}
 			g.RA[c][k] = a
-			g.RB[c][k] = ra - a*xa
+			g.RB[c][k] = ra - a*(xa-centre)
 		}
 	})
 	// Prefix regression integrals by the same identity the lookups use —
-	// Δ∫D·R_c = a·Δ∫xD + b·ΔCDF per panel — so the prefix values and the
+	// Δ∫D·R_c = a·Δ∫uD + b·ΔCDF per panel — so the prefix values and the
 	// partial-panel interpolants are consistent by construction.
 	for c := 0; c < nc; c++ {
 		cdr := make([]float64, nk)
@@ -621,10 +667,12 @@ func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
 		g.CumDR[c] = cdr
 		g.CumDR2[c] = cdr2
 	}
-	if !m.validateGrid(g, pref, rk) {
-		return nil
+	if worst, ok := m.validateGrid(g, pref, rk); !ok {
+		lo, hi := g.Span()
+		return nil, fmt.Errorf("column %q: %w over support [%g, %g]: worst relative error %.3g exceeds %g",
+			m.XCol, errNoGrid, lo, hi, worst, gridErrBound)
 	}
-	return g
+	return g, nil
 }
 
 // validateGrid checks the two places the grid could silently go wrong:
@@ -632,11 +680,13 @@ func (m *UniModel) tabulateGrid(rk refinedKnots, workers int) *EvalGrid {
 // the per-panel linear-R reconstruction of every ∫D·R_c panel against the
 // fused Gauss–Kronrod panel integrals (deltas of pref rows 2+2c and 3+2c).
 // A constituent that is not piecewise linear over the panels shows up
-// here, and the model stays on quadrature. The midpoint check is the one
-// refinement runs — same interpolant, same closed form, same scale, at half
-// this bound — so where rk says refinement accepted every panel its worst
-// error stands in for the walk; otherwise every midpoint is evaluated here.
-func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) bool {
+// here, and the pair is refused. The midpoint check is the one refinement
+// runs — same interpolant, same closed form, same scale, at half this
+// bound — so where rk says refinement accepted every panel its worst error
+// stands in for the walk; otherwise every midpoint is evaluated here. It
+// returns the worst error seen and whether the grid passed; a passing grid
+// records the worst as MaxRelErr.
+func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) (float64, bool) {
 	nk := len(g.Knots)
 	panels := nk - 1
 	nc := len(g.RA)
@@ -650,9 +700,10 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) 
 		drScale[c] = math.Max(math.Abs(g.CumDR[c][nk-1]), 1e-300)
 		dr2Scale[c] = math.Max(math.Abs(g.CumDR2[c][nk-1]), 1e-300)
 	}
+	// A NaN error counts as the worst there is, and fails.
 	check := func(got, want, scale float64) bool {
 		rel := math.Abs(got-want) / math.Max(math.Abs(want), 1e-3*scale)
-		if rel > worst {
+		if !(rel <= worst) {
 			worst = rel
 		}
 		return rel <= gridErrBound
@@ -663,7 +714,7 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) 
 		for k := 0; k < panels; k++ {
 			mid := 0.5 * (g.Knots[k] + g.Knots[k+1])
 			if !check(g.cdfAt(mid), m.D.CDF(mid), massScale) {
-				return false
+				return worst, false
 			}
 		}
 	}
@@ -676,13 +727,13 @@ func (m *UniModel) validateGrid(g *EvalGrid, pref [][]float64, rk refinedKnots) 
 			gk := pref[2+2*c][k+1] - pref[2+2*c][k]
 			gk2 := pref[3+2*c][k+1] - pref[3+2*c][k]
 			if !check(a*dxd+b*dd, gk, drScale[c]) {
-				return false
+				return worst, false
 			}
 			if !check(a*a*dx2d+2*a*b*dxd+b*b*dd, gk2, dr2Scale[c]) {
-				return false
+				return worst, false
 			}
 		}
 	}
 	g.MaxRelErr = worst
-	return true
+	return worst, true
 }

@@ -7,6 +7,7 @@ import (
 
 	"dbest/internal/exact"
 	"dbest/internal/quadrature"
+	"dbest/internal/shard"
 	"dbest/internal/table"
 )
 
@@ -31,22 +32,83 @@ func mixTable(n int, seed int64) *table.Table {
 	return tb
 }
 
-// stripGrid returns a copy of m forced onto the quadrature path.
-func stripGrid(m *UniModel) *UniModel {
-	c := *m
-	c.Grid = nil
-	return &c
+// oracleQuad are the tolerances of the quadrature oracle: tight enough that
+// the adaptive rule converges on the discontinuous D·R integrands, so a
+// comparison measures the grid's error, not the oracle's.
+var oracleQuad = &quadrature.Options{AbsTol: 1e-12, RelTol: 1e-9, MaxIter: 4096, InitialPanels: 32}
+
+// quadMoment integrates x^power·D (yIsX) or D·R^power over [lb, ub] by
+// adaptive quadrature over the closed-form density and the constituent the
+// ensemble selects for the range: what the grid tabulates, computed the way
+// models answered before it.
+func quadMoment(t *testing.T, m *UniModel, yIsX bool, power int, lb, ub float64) float64 {
+	t.Helper()
+	reg := m.R.ForRange(lb, ub)
+	res, err := quadrature.Integrate(func(x float64) float64 {
+		v, r := m.D.Density(x), x
+		if !yIsX {
+			r = reg.Predict1(x)
+		}
+		for i := 0; i < power; i++ {
+			v *= r
+		}
+		return v
+	}, lb, ub, oracleQuad)
+	if err != nil && err != quadrature.ErrMaxIter {
+		t.Fatal(err)
+	}
+	return res.Value
 }
 
-// withTightQuad raises the adaptive rule's budget for the duration of a
-// test, so the quadrature baseline converges on the discontinuous D·R
-// integrands and the comparison measures the grid's error, not the
-// runtime fallback's subdivision cap.
-func withTightQuad(t *testing.T) {
+// quadClip narrows [lb, ub] to the closed-form density's support and
+// returns the mass there.
+func quadClip(m *UniModel, lb, ub float64) (float64, float64, float64) {
+	slo, shi := m.D.Support()
+	lb, ub = math.Max(lb, slo), math.Min(ub, shi)
+	return lb, ub, m.D.Mass(lb, ub)
+}
+
+// quadAggregate is the quadrature oracle of UniModel.Aggregate: the
+// closed-form mass, quadMoment for the moments, bisection over the
+// closed-form CDF for PERCENTILE.
+func quadAggregate(t *testing.T, m *UniModel, af exact.AggFunc, lb, ub float64, yIsX bool, p float64) (float64, error) {
 	t.Helper()
-	old := quadOpts
-	quadOpts = &quadrature.Options{AbsTol: 1e-12, RelTol: 1e-9, MaxIter: 4096, InitialPanels: 32}
-	t.Cleanup(func() { quadOpts = old })
+	lb, ub, f := quadClip(m, lb, ub)
+	if af == exact.Count {
+		return m.N * f, nil
+	}
+	if f < 1e-12 {
+		if af == exact.Sum {
+			return 0, nil
+		}
+		return 0, ErrNoSupport
+	}
+	switch af {
+	case exact.Sum:
+		return m.N * quadMoment(t, m, false, 1, lb, ub), nil
+	case exact.Avg:
+		return quadMoment(t, m, yIsX, 1, lb, ub) / f, nil
+	case exact.Percentile:
+		target := m.D.CDF(lb) + p*f
+		return quadrature.Bisect(func(x float64) float64 { return m.D.CDF(x) - target }, lb, ub, 1e-10, 200)
+	}
+	ex := quadMoment(t, m, yIsX, 1, lb, ub) / f
+	v := math.Max(quadMoment(t, m, yIsX, 2, lb, ub)/f-ex*ex, 0)
+	if af == exact.StdDev {
+		v = math.Sqrt(v)
+	}
+	return v, nil
+}
+
+// quadPartial is the quadrature oracle of UniModel.Partial.
+func quadPartial(t *testing.T, m *UniModel, lb, ub float64, yIsX bool) shard.Partial {
+	t.Helper()
+	lb, ub, f := quadClip(m, lb, ub)
+	if f < 1e-12 {
+		return shard.Partial{}
+	}
+	return shard.Partial{Support: true, Count: m.N * f,
+		Sum: m.N * quadMoment(t, m, yIsX, 1, lb, ub), SumSq: m.N * quadMoment(t, m, yIsX, 2, lb, ub)}
 }
 
 // gridRelErr is the equivalence bound the grid kernel must hold against
@@ -54,7 +116,7 @@ func withTightQuad(t *testing.T) {
 const gridRelErrBound = 1e-4
 
 // TestGridMatchesQuadrature compares every aggregate function over
-// randomized spans between the grid kernel and the quadrature kernel on
+// randomized spans between the grid kernel and the quadrature oracle on
 // the same trained model.
 func TestGridMatchesQuadrature(t *testing.T) {
 	for _, tc := range []struct {
@@ -65,7 +127,6 @@ func TestGridMatchesQuadrature(t *testing.T) {
 		{"bimodal", mixTable(8000, 4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			withTightQuad(t)
 			ms, err := Train(tc.tb, []string{"x"}, "y", &TrainConfig{SampleSize: 1000, Seed: 7})
 			if err != nil {
 				t.Fatal(err)
@@ -74,14 +135,13 @@ func TestGridMatchesQuadrature(t *testing.T) {
 			if !m.HasGrid() {
 				t.Fatal("training did not build a validated grid")
 			}
-			q := stripGrid(m)
 			lo, hi := m.D.Support()
 			rng := rand.New(rand.NewSource(99))
 			afs := []exact.AggFunc{exact.Count, exact.Sum, exact.Avg,
 				exact.Variance, exact.StdDev, exact.Percentile}
 			trials := 12
 			if testing.Short() {
-				trials = 3 // the tight-quadrature baseline dominates runtime
+				trials = 3 // the tight-quadrature oracle dominates runtime
 			}
 			for trial := 0; trial < trials; trial++ {
 				width := (hi - lo) * (0.02 + 0.5*rng.Float64())
@@ -97,7 +157,7 @@ func TestGridMatchesQuadrature(t *testing.T) {
 							continue
 						}
 						got, gerr := m.Aggregate(af, lb, ub, yIsX, p)
-						want, werr := q.Aggregate(af, lb, ub, yIsX, p)
+						want, werr := quadAggregate(t, m, af, lb, ub, yIsX, p)
 						if (gerr == nil) != (werr == nil) {
 							t.Fatalf("%v yIsX=%v [%g,%g]: grid err %v vs quad err %v",
 								af, yIsX, lb, ub, gerr, werr)
@@ -121,9 +181,8 @@ func TestGridMatchesQuadrature(t *testing.T) {
 }
 
 // TestGridPartialMatchesQuadrature compares the shard-mergeable moment
-// triples between kernels.
+// triples against the quadrature oracle.
 func TestGridPartialMatchesQuadrature(t *testing.T) {
-	withTightQuad(t)
 	tb := mixTable(8000, 11)
 	ms, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 1000, Seed: 5})
 	if err != nil {
@@ -133,7 +192,6 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 	if !m.HasGrid() {
 		t.Fatal("training did not build a validated grid")
 	}
-	q := stripGrid(m)
 	rng := rand.New(rand.NewSource(12))
 	lo, hi := m.D.Support()
 	for trial := 0; trial < 10; trial++ {
@@ -141,11 +199,8 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 		lb := lo + rng.Float64()*(hi-lo-width)
 		ub := lb + width
 		for _, yIsX := range []bool{false, true} {
-			gp, _, gerr := m.Partial(lb, ub, yIsX, true, true)
-			qp, _, qerr := q.Partial(lb, ub, yIsX, true, true)
-			if gerr != nil || qerr != nil {
-				t.Fatalf("partial errors: grid %v quad %v", gerr, qerr)
-			}
+			gp, _ := m.Partial(lb, ub, yIsX, true, true)
+			qp := quadPartial(t, m, lb, ub, yIsX)
 			if gp.Support != qp.Support {
 				t.Fatalf("support mismatch: grid %v quad %v", gp.Support, qp.Support)
 			}
@@ -162,96 +217,62 @@ func TestGridPartialMatchesQuadrature(t *testing.T) {
 	}
 }
 
-// TestGridDisabled verifies the GridKnots < 0 escape hatch (the A/B
-// baseline) and the default-on behavior.
-func TestGridDisabled(t *testing.T) {
-	tb := linTable(5000, 8)
-	off, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1, GridKnots: -1})
+// TestGridDefaultBuild: training always builds a validated grid of at least
+// the default base budget, centred on its knot span, and tags the set's
+// kernel grid.
+func TestGridDefaultBuild(t *testing.T) {
+	on, err := Train(linTable(5000, 8), []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Uni.HasGrid() {
-		t.Fatal("GridKnots -1 still built a grid")
-	}
-	if off.EvalKernel() != "quad" {
-		t.Fatalf("EvalKernel = %q, want quad", off.EvalKernel())
-	}
-	on, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := on.Uni.Grid
 	if !on.Uni.HasGrid() {
 		t.Fatal("default training did not build a grid")
 	}
 	if on.EvalKernel() != "grid" {
 		t.Fatalf("EvalKernel = %q, want grid", on.EvalKernel())
 	}
-	if on.Uni.Grid.MaxRelErr > gridErrBound {
-		t.Fatalf("validated grid reports MaxRelErr %g above the bound %g",
-			on.Uni.Grid.MaxRelErr, gridErrBound)
+	if g.MaxRelErr > gridErrBound {
+		t.Fatalf("validated grid reports MaxRelErr %g above the bound %g", g.MaxRelErr, gridErrBound)
 	}
-	if kn := len(on.Uni.Grid.Knots); kn < DefaultGridKnots/2 {
+	if kn := len(g.Knots); kn < DefaultGridKnots/2 {
 		t.Fatalf("default grid has %d knots, want at least %d", kn, DefaultGridKnots/2)
 	}
-}
-
-// TestGridCustomKnots verifies the base knot budget flows through: the
-// knot vector is budget-many base knots plus the ensemble's breakpoints,
-// so a larger budget yields a strictly denser grid over the same model.
-func TestGridCustomKnots(t *testing.T) {
-	tb := linTable(5000, 9)
-	small, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1, GridKnots: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1, GridKnots: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, gl := small.Uni.Grid, large.Uni.Grid
-	if !gs.Valid() || !gl.Valid() {
-		t.Fatal("explicit knot budgets did not build grids")
-	}
-	if len(gs.Knots) >= len(gl.Knots) {
-		t.Fatalf("budget 64 produced %d knots, budget 1024 produced %d — want the latter denser",
-			len(gs.Knots), len(gl.Knots))
+	if lo, hi := g.Span(); g.C != 0.5*(lo+hi) {
+		t.Fatalf("grid centre %v, want the middle of [%v, %v]", g.C, lo, hi)
 	}
 }
 
-// TestGridCounters verifies the kernel counters move on the expected paths.
+// TestGridCounters verifies the kernel counters move on the expected paths:
+// univariate integrals count grid hits, the multivariate tensor quadrature
+// counts fallbacks.
 func TestGridCounters(t *testing.T) {
-	tb := linTable(5000, 10)
-	on, err := Train(tb, []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
+	on, err := Train(linTable(5000, 10), []string{"x"}, "y", &TrainConfig{SampleSize: 2000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ResetEvalCounters()
+	defer ResetEvalCounters()
 	if _, err := on.Uni.Aggregate(exact.Sum, 20, 60, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	c := ReadEvalCounters()
-	if c.GridHits == 0 || c.GridFallbacks != 0 {
-		t.Fatalf("grid-path counters = %+v, want hits > 0 and no fallbacks", c)
+	if c := ReadEvalCounters(); c.GridHits != 1 || c.GridFallbacks != 0 {
+		t.Fatalf("grid-path counters = %+v, want one hit and no fallbacks", c)
 	}
 	ResetEvalCounters()
-	if _, err := stripGrid(on.Uni).Aggregate(exact.Sum, 20, 60, false, 0); err != nil {
+	multi := trainMultiSet(t, multiTable(3000, 2))
+	if _, err := multi.EvaluateMulti(exact.Avg, []float64{2, 2}, []float64{6, 6}); err != nil {
 		t.Fatal(err)
 	}
-	c = ReadEvalCounters()
-	if c.GridFallbacks == 0 || c.GridHits != 0 {
-		t.Fatalf("quad-path counters = %+v, want fallbacks > 0 and no hits", c)
+	if c := ReadEvalCounters(); c.GridFallbacks != 1 || c.GridHits != 0 {
+		t.Fatalf("multivariate counters = %+v, want one fallback and no hits", c)
 	}
-	ResetEvalCounters()
 }
 
-// TestGridRejectedServesOnQuadrature covers the fallback ordinary input
-// reaches (GRID OFF is the other way in, and an escape hatch): a PLR ensemble
-// over an epoch-microsecond column fails the grid's build-time validation, so
-// the model ships without a grid and every integral runs on adaptive
-// quadrature — which must still answer within the accuracy the gridded
-// sibling (EnsemblePLR: false over the same column) gives. See ROADMAP 4(d):
-// this is why quadrature stays a serving kernel.
-func TestGridRejectedServesOnQuadrature(t *testing.T) {
+// epochTable is a day of epoch-microsecond timestamps (x ≈ 1.7e15) with a
+// linear trend in y: the input whose PLR intercepts cancelled to a few
+// digits before the grid centred its tables.
+func epochTable() *table.Table {
 	const (
 		n      = 50_000
 		origin = 1.7e15  // epoch microseconds, late 2023
@@ -267,39 +288,46 @@ func TestGridRejectedServesOnQuadrature(t *testing.T) {
 	tb := table.New("events")
 	tb.AddFloatColumn("ts", xs)
 	tb.AddFloatColumn("v", ys)
+	return tb
+}
+
+// TestEpochPLRGrids: a PLR ensemble over an epoch-microsecond column grids,
+// and answers COUNT, SUM, AVG(y) and AVG(x) within 6 % of the exact scan.
+func TestEpochPLRGrids(t *testing.T) {
+	const origin, day = 1.7e15, 8.64e10
+	tb := epochTable()
 	ms, err := Train(tb, []string{"ts"}, "v", &TrainConfig{SampleSize: 5000, Seed: 1, EnsemblePLR: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms.Uni.HasGrid() {
-		t.Fatal("the grid validated: this input no longer reaches the fallback, find one that does or retire the kernel (ROADMAP 4d)")
+	if !ms.Uni.HasGrid() {
+		t.Fatal("no grid")
 	}
-	if k := ms.EvalKernel(); k != "quad" {
-		t.Fatalf("EvalKernel = %q, want quad", k)
-	}
-
-	ResetEvalCounters()
-	defer ResetEvalCounters()
+	t.Logf("%d knots, MaxRelErr %.3g", len(ms.Uni.Grid.Knots), ms.Uni.Grid.MaxRelErr)
 	spans := rand.New(rand.NewSource(2))
 	for i := 0; i < 20; i++ {
 		w := day * (0.05 + 0.45*spans.Float64())
 		lb := origin + (day-w)*spans.Float64()
-		for _, af := range []exact.AggFunc{exact.Count, exact.Sum, exact.Avg} {
-			got, err := ms.EvaluateUni(af, lb, lb+w, false, nil)
+		for _, q := range []struct {
+			af   exact.AggFunc
+			yIsX bool
+		}{{exact.Count, false}, {exact.Sum, false}, {exact.Avg, false}, {exact.Avg, true}} {
+			got, err := ms.EvaluateUni(q.af, lb, lb+w, q.yIsX, nil)
 			if err != nil {
-				t.Fatalf("%v over span %d: %v", af, i, err)
+				t.Fatalf("%v over span %d: %v", q.af, i, err)
 			}
-			want, err := exact.Query(tb, exact.Request{AF: af, Y: "v",
+			y := "v"
+			if q.yIsX {
+				y = "ts"
+			}
+			want, err := exact.Query(tb, exact.Request{AF: q.af, Y: y,
 				Predicates: []exact.Range{{Column: "ts", Lb: lb, Ub: lb + w}}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if re := relErr(got.Value, want.Value); re > 0.06 {
-				t.Errorf("%v over span %d = %v, exact %v: relative error %.3f above 6%%", af, i, got.Value, want.Value, re)
+				t.Errorf("%v(%s) over span %d = %v, exact %v: relative error %.3f above 6%%", q.af, y, i, got.Value, want.Value, re)
 			}
 		}
-	}
-	if c := ReadEvalCounters(); c.GridFallbacks == 0 || c.GridHits != 0 {
-		t.Fatalf("counters = %+v, want fallbacks > 0 and no grid hits", c)
 	}
 }

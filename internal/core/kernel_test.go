@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"dbest/internal/exact"
-	"dbest/internal/kde"
 	"dbest/internal/shard"
 )
 
@@ -16,18 +15,12 @@ import (
 var allAggs = []exact.AggFunc{exact.Count, exact.Sum, exact.Avg,
 	exact.Variance, exact.StdDev, exact.Percentile}
 
-// poisonDensity returns a copy of m whose density estimator answers NaN to
-// every Density/CDF/Mass call while Support() still works: the invariant "a
-// gridded model never consults D at query time" then shows up as a NaN (or a
-// changed answer) instead of hiding behind a correct closed form.
+// poisonDensity returns a copy of m without its density estimator: the
+// invariant "serving never reads D" then shows up as a nil dereference
+// instead of hiding behind a correct closed form.
 func poisonDensity(m *UniModel) *UniModel {
 	c := *m
-	d := *m.D
-	d.Weights = make([]float64, len(m.D.Weights))
-	for i := range d.Weights {
-		d.Weights[i] = math.NaN()
-	}
-	c.D = &d
+	c.D = nil
 	return &c
 }
 
@@ -101,14 +94,10 @@ func sameAnswer(t *testing.T, what string, got *Answer, gerr error, want *Answer
 	}
 }
 
-// TestPoisonedDensityNeverConsulted is the invariant "a gridded model never
-// consults D at query time" as a test: with every bin weight NaN, each
-// serving entry of internal/core still answers exactly what the clean model
-// answers.
+// TestPoisonedDensityNeverConsulted is the invariant "serving never reads
+// D" as a test: with the density estimator gone, each serving entry of
+// internal/core still answers exactly what the clean model answers.
 func TestPoisonedDensityNeverConsulted(t *testing.T) {
-	if !math.IsNaN((&kde.Binned{Lo: 0, Hi: 1, H: 0.01, Weights: []float64{math.NaN(), math.NaN()}, Reflect: true}).Mass(0.2, 0.8)) {
-		t.Fatal("poisoning is ineffective: closed-form mass over NaN weights is not NaN")
-	}
 	plain, grouped, nominal, sharded := kernelSets(t)
 	if k := plain.EvalKernel() + grouped.EvalKernel() + nominal.EvalKernel(); k != "gridgridgrid" {
 		t.Fatalf("kernels = %q, want every model gridded", k)
@@ -135,10 +124,10 @@ func TestPoisonedDensityNeverConsulted(t *testing.T) {
 	m, pm := sharded[1].Uni, poisonDensity(sharded[1].Uni)
 	for _, sp := range edgeSpans(m) {
 		for _, yIsX := range []bool{false, true} {
-			want, wf, werr := m.Partial(sp[0], sp[1], yIsX, true, true)
-			got, gf, gerr := pm.Partial(sp[0], sp[1], yIsX, true, true)
-			if werr != nil || gerr != nil || got != want || gf != wf || math.IsNaN(gf) {
-				t.Fatalf("Partial%v: poisoned %+v f=%v err=%v, clean %+v f=%v err=%v", sp, got, gf, gerr, want, wf, werr)
+			want, wf := m.Partial(sp[0], sp[1], yIsX, true, true)
+			got, gf := pm.Partial(sp[0], sp[1], yIsX, true, true)
+			if got != want || gf != wf || math.IsNaN(gf) {
+				t.Fatalf("Partial%v: poisoned %+v f=%v, clean %+v f=%v", sp, got, gf, want, wf)
 			}
 		}
 		for _, af := range allAggs {
@@ -149,20 +138,6 @@ func TestPoisonedDensityNeverConsulted(t *testing.T) {
 	}
 	if c := ReadEvalCounters(); c.GridFallbacks != 0 {
 		t.Fatalf("gridded models counted %d fallbacks", c.GridFallbacks)
-	}
-	ResetEvalCounters()
-}
-
-// TestGridlessMassCountsAsFallback pins the other half of the contract: the
-// closed-form mass is the gridless fallback and is counted as one, so it can
-// never hide behind a zero fallback ratio.
-func TestGridlessMassCountsAsFallback(t *testing.T) {
-	q := stripGrid(trainLin(t, linTable(5000, 10), 2000).Uni)
-	ResetEvalCounters()
-	q.Count(20, 60)
-	q.PredictRelErr(exact.Avg, 20, 60)
-	if c := ReadEvalCounters(); c.GridFallbacks != 2 || c.GridHits != 0 {
-		t.Fatalf("gridless COUNT + PredictRelErr counters = %+v, want 2 fallbacks", c)
 	}
 	ResetEvalCounters()
 }
@@ -264,14 +239,11 @@ func TestKernelMetamorphic(t *testing.T) {
 func TestPartialAgreesWithEvalOnSupport(t *testing.T) {
 	for _, m := range []*UniModel{
 		trainLin(t, mixTable(8000, 4), 2000).Uni,
-		stripGrid(trainLin(t, linTable(5000, 10), 1000).Uni),
+		trainLin(t, linTable(5000, 10), 1000).Uni,
 	} {
 		for _, sp := range edgeSpans(m) {
 			for _, yIsX := range []bool{false, true} {
-				p, f, err := m.Partial(sp[0], sp[1], yIsX, true, true)
-				if err != nil {
-					t.Fatal(err)
-				}
+				p, f := m.Partial(sp[0], sp[1], yIsX, true, true)
 				_, ef, eerr := m.eval(exact.Avg, sp[0], sp[1], yIsX, 0)
 				if f != ef || p.Support != (eerr == nil) {
 					t.Fatalf("span %v yIsX=%v: Partial f=%v support=%v, eval f=%v err=%v", sp, yIsX, f, p.Support, ef, eerr)

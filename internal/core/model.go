@@ -3,7 +3,10 @@
 // trained over a small uniform sample — and the evaluation of aggregate
 // functions from those models alone (paper §2.3, Eqs. 1–10). No base data
 // or samples are consulted at query time; samples are discarded after
-// training (§3, Sampling).
+// training (§3, Sampling). The integrals the paper evaluates at query time
+// (§3, Integral Evaluation) are tabulated at train time instead: a
+// univariate model answers every aggregate from its evaluation grid
+// (grid.go) and never reads D or R while serving.
 package core
 
 import (
@@ -15,7 +18,6 @@ import (
 	"dbest/internal/boost"
 	"dbest/internal/exact"
 	"dbest/internal/kde"
-	"dbest/internal/quadrature"
 	"dbest/internal/shard"
 )
 
@@ -29,12 +31,6 @@ func init() {
 	gob.Register(&boost.Ensemble{})
 }
 
-// quadOpts are the integration tolerances used for the ∫D·R integrals.
-// They mirror the paper's accuracy-efficiency trade-off discussion (§3,
-// Integral Evaluation): tight enough that integration error is negligible
-// against model error, loose enough for sub-millisecond evaluation.
-var quadOpts = &quadrature.Options{AbsTol: 1e-9, RelTol: 1e-6, MaxIter: 64, InitialPanels: 8}
-
 // ErrNoSupport is returned when a range predicate selects a region where
 // the density estimator has (almost) no mass, so regression-based
 // aggregates are undefined — the analogue of an empty selection.
@@ -43,7 +39,8 @@ var ErrNoSupport = errors.New("core: predicate range has no density support")
 // UniModel is the model pair for one column pair (x, y): the trained
 // density estimator over x and regression model x → y, plus the logical
 // table cardinality N the sample represented. This is the only state DBEst
-// keeps per column pair (Table 1 of the paper: D(x), R(x), N).
+// keeps per column pair (Table 1 of the paper: D(x), R(x), N), plus the
+// evaluation grid tabulated from D and R that serves every query.
 type UniModel struct {
 	XCol, YCol string
 	N          float64 // logical number of rows modeled (scales Eq. 1 and 7)
@@ -52,10 +49,9 @@ type UniModel struct {
 	XLo, XHi   float64 // observed x-domain of the training sample
 
 	// Grid is the train-time prefix-integral table set that answers range
-	// integrals in O(log knots) instead of a quadrature run. nil — on
-	// models from old catalogs, when training disabled it, or when build
-	// validation rejected it — keeps the model on the adaptive-quadrature
-	// path, which remains the oracle and fallback.
+	// integrals in O(log knots). Every published model carries a valid one:
+	// training refuses a pair it cannot tabulate, and a catalog model saved
+	// without one gets it rebuilt at load (ModelSet.EnsureGrids).
 	Grid *EvalGrid
 
 	// EB is the train-time error predictor: bootstrap-fitted per-family
@@ -65,9 +61,11 @@ type UniModel struct {
 	EB *ErrBounds
 }
 
-// HasGrid reports whether a validated evaluation grid answers this model's
-// integrals.
-func (m *UniModel) HasGrid() bool { return m.Grid.Valid() }
+// HasGrid reports whether the model carries an evaluation grid whose tables
+// fit its regressor — what a model needs to be served.
+func (m *UniModel) HasGrid() bool {
+	return m.Grid.Valid() && m.R != nil && m.Grid.Constituents() == len(m.R.Models)
+}
 
 // PredictRelErr predicts the relative error of aggregate af evaluated over
 // [lb, ub] on this model, from the train-time error predictor at the
@@ -81,23 +79,15 @@ func (m *UniModel) PredictRelErr(af exact.AggFunc, lb, ub float64) float64 {
 	return m.EB.RelErr(af, m.mass(m.clip(lb, ub)))
 }
 
-// mass returns ∫_lb^ub D — the only density mass the serving path reads. A
-// gridded model answers it from the cumulative-density table and never
-// consults D at query time, so COUNT, every denominator, shard partials and
-// the error predictor share one kernel. The closed-form CDF (O(bins) per
-// call) serves gridless models only, and is counted as a fallback.
-func (m *UniModel) mass(lb, ub float64) float64 {
-	if m.Grid.Valid() {
-		return m.Grid.Mass(lb, ub)
-	}
-	gridFallbacks.Add(1)
-	return m.D.Mass(lb, ub)
-}
+// mass returns ∫_lb^ub D — the only density mass the serving path reads —
+// from the grid's cumulative-density table, so COUNT, every denominator,
+// shard partials and the error predictor share one kernel.
+func (m *UniModel) mass(lb, ub float64) float64 { return m.Grid.Mass(lb, ub) }
 
-// clip narrows [lb, ub] to the estimator's support to keep quadrature off
-// regions that are identically zero.
+// clip narrows [lb, ub] to the grid's knot span, which is the density
+// support.
 func (m *UniModel) clip(lb, ub float64) (float64, float64) {
-	slo, shi := m.D.Support()
+	slo, shi := m.Grid.Span()
 	if lb < slo {
 		lb = slo
 	}
@@ -113,86 +103,32 @@ func (m *UniModel) Count(lb, ub float64) float64 {
 }
 
 // moment computes the integrand family one aggregate needs over clipped
-// bounds: ∫ x^power·D when yIsX (the density-based forms, Eqs. 2/3, where
-// the aggregated column is the predicate column itself), else ∫ D·R^power.
-func (m *UniModel) moment(yIsX bool, power int, lb, ub float64) (float64, error) {
+// bounds of mass f: ∫ x^power·D when yIsX (the density-based forms, Eqs.
+// 2/3, where the aggregated column is the predicate column itself), else
+// ∫ D·R^power.
+func (m *UniModel) moment(yIsX bool, power int, lb, ub, f float64) float64 {
 	if yIsX {
-		return m.momentX(power, lb, ub)
+		gridHits.Add(1)
+		return m.Grid.MomentX(power, lb, ub, f)
 	}
 	return m.integrateDR(lb, ub, power)
 }
 
-// momentX computes ∫_lb^ub x^power·D dx. On the grid path it is two
-// interpolated lookups; otherwise one adaptive quadrature run.
-func (m *UniModel) momentX(power int, lb, ub float64) (float64, error) {
-	if g := m.Grid; g.Valid() {
-		gridHits.Add(1)
-		return g.MomentX(power, lb, ub), nil
-	}
-	gridFallbacks.Add(1)
-	res, err := quadrature.Integrate(func(x float64) float64 {
-		v := m.D.Density(x)
-		for i := 0; i < power; i++ {
-			v *= x
-		}
-		return v
-	}, lb, ub, quadOpts)
-	if err != nil {
-		if err != quadrature.ErrMaxIter {
-			return 0, err
-		}
-		quadNonconverged.Add(1)
-	}
-	return res.Value, nil
-}
-
 // quantile solves F(x) = F(lb) + p·den within the clipped range [lb, ub]
-// of mass den (Eq. 4): inverting the grid's cumulative-density table when
-// the model carries one, else by bisection over the closed-form CDF.
-func (m *UniModel) quantile(p, lb, ub, den float64) (float64, error) {
-	if g := m.Grid; g.Valid() {
-		gridHits.Add(1)
-		x := g.InvertCDF(g.CDF(lb) + p*den)
-		return math.Min(math.Max(x, lb), ub), nil
-	}
-	gridFallbacks.Add(1)
-	target := m.D.CDF(lb) + p*den
-	return quadrature.Bisect(func(x float64) float64 {
-		return m.D.CDF(x) - target
-	}, lb, ub, 1e-10, 200)
+// of mass den (Eq. 4) by inverting the grid's cumulative-density table.
+func (m *UniModel) quantile(p, lb, ub, den float64) float64 {
+	gridHits.Add(1)
+	g := m.Grid
+	x := g.InvertCDF(g.CDF(lb) + p*den)
+	return math.Min(math.Max(x, lb), ub)
 }
 
-// integrateDR computes ∫ D(x)·R(x)^power dx over [lb, ub]. The ensemble's
-// per-range constituent selection is hoisted out of the integrand so one
-// model answers the whole integral consistently; the grid path honors the
-// same selection by keying its per-constituent tables on the index the
-// ensemble resolves for this range.
-func (m *UniModel) integrateDR(lb, ub float64, power int) (float64, error) {
-	if g := m.Grid; g.Valid() {
-		if c := m.R.IndexForRange(lb, ub); c < g.Constituents() {
-			gridHits.Add(1)
-			return g.MomentDR(c, power, lb, ub), nil
-		}
-	}
-	gridFallbacks.Add(1)
-	reg := m.R.ForRange(lb, ub)
-	var f func(float64) float64
-	if power == 1 {
-		f = func(x float64) float64 { return m.D.Density(x) * reg.Predict1(x) }
-	} else {
-		f = func(x float64) float64 {
-			r := reg.Predict1(x)
-			return m.D.Density(x) * r * r
-		}
-	}
-	res, err := quadrature.Integrate(f, lb, ub, quadOpts)
-	if err != nil {
-		if err != quadrature.ErrMaxIter {
-			return 0, err
-		}
-		quadNonconverged.Add(1)
-	}
-	return res.Value, nil
+// integrateDR computes ∫ D(x)·R(x)^power dx over [lb, ub] from the tables
+// of the constituent the ensemble selects for this range, so one model
+// answers the whole integral, as the paper's per-range selection asks.
+func (m *UniModel) integrateDR(lb, ub float64, power int) float64 {
+	gridHits.Add(1)
+	return m.Grid.MomentDR(m.R.IndexForRange(lb, ub), power, lb, ub)
 }
 
 // Partial computes this model's shard-mergeable partial aggregates over
@@ -203,31 +139,23 @@ func (m *UniModel) integrateDR(lb, ub float64, power int) (float64, error) {
 // E[y²] − E[y]². yIsX selects the density-based moments (Eqs. 2/3). f is
 // the selected mass fraction the partial was computed from, for the merged
 // error bound. A range with no density support returns a zero Partial with
-// Support false, not an error: one empty shard must not fail a merge its
-// siblings can answer.
-func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) (p shard.Partial, f float64, err error) {
+// Support false: one empty shard must not fail a merge its siblings can
+// answer.
+func (m *UniModel) Partial(lb, ub float64, yIsX, needSum, needSq bool) (p shard.Partial, f float64) {
 	lb, ub = m.clip(lb, ub)
 	f = m.mass(lb, ub)
 	if f < 1e-12 {
-		return p, f, nil
+		return p, f
 	}
 	p.Support = true
 	p.Count = m.N * f
 	if needSum {
-		m1, err := m.moment(yIsX, 1, lb, ub)
-		if err != nil {
-			return p, f, err
-		}
-		p.Sum = m.N * m1
+		p.Sum = m.N * m.moment(yIsX, 1, lb, ub, f)
 	}
 	if needSq {
-		m2, err := m.moment(yIsX, 2, lb, ub)
-		if err != nil {
-			return p, f, err
-		}
-		p.SumSq = m.N * m2
+		p.SumSq = m.N * m.moment(yIsX, 2, lb, ub, f)
 	}
-	return p, f, nil
+	return p, f
 }
 
 // Aggregate dispatches an aggregate-function evaluation on this model.
@@ -259,37 +187,24 @@ func (m *UniModel) eval(af exact.AggFunc, lb, ub float64, yIsX bool, p float64) 
 	}
 	switch af {
 	case exact.Sum: // Eq. 7; R was fitted on the aggregated column even when it is x
-		v, err = m.integrateDR(lb, ub, 1)
-		v *= m.N
+		v = m.integrateDR(lb, ub, 1) * m.N
 	case exact.Avg: // Eq. 6, or E[x] under D restricted
-		v, err = m.moment(yIsX, 1, lb, ub)
-		v /= f
+		v = m.moment(yIsX, 1, lb, ub, f) / f
 	case exact.Variance, exact.StdDev: // Eqs. 2/8, 3/9
-		if v, err = m.variance(yIsX, lb, ub, f); af == exact.StdDev {
+		if v = m.variance(yIsX, lb, ub, f); af == exact.StdDev {
 			v = math.Sqrt(v)
 		}
 	case exact.Percentile: // Eq. 4
-		v, err = m.quantile(p, lb, ub, f)
+		v = m.quantile(p, lb, ub, f)
 	default:
-		err = fmt.Errorf("core: unsupported aggregate %v", af)
-	}
-	if err != nil {
-		return 0, f, err
+		return 0, f, fmt.Errorf("core: unsupported aggregate %v", af)
 	}
 	return v, f, nil
 }
 
 // variance evaluates E[y²] − E[y]² under the density restricted to the
 // clipped range [lb, ub] of mass f.
-func (m *UniModel) variance(yIsX bool, lb, ub, f float64) (float64, error) {
-	m1, err := m.moment(yIsX, 1, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	m2, err := m.moment(yIsX, 2, lb, ub)
-	if err != nil {
-		return 0, err
-	}
-	ex := m1 / f
-	return math.Max(m2/f-ex*ex, 0), nil
+func (m *UniModel) variance(yIsX bool, lb, ub, f float64) float64 {
+	ex := m.moment(yIsX, 1, lb, ub, f) / f
+	return math.Max(m.moment(yIsX, 2, lb, ub, f)/f-ex*ex, 0)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -305,39 +307,46 @@ func (ms *ModelSet) SizeBytes() int {
 	return buf.Len()
 }
 
-// EvalKernel reports which integration kernel answers this set's
-// model-path integrals: "grid" when every trained pair carries a validated
-// prefix-integral grid, "quad" when none does (including multivariate
-// sets, which always integrate adaptively), "mixed" otherwise. It is the
-// kernel tag EXPLAIN renders on ModelEval and ShardMerge operators.
+// EvalKernel reports which kernel answers this set's model-path integrals —
+// the tag EXPLAIN renders on ModelEval and ShardMerge operators: "sketch"
+// for sketch sets, "quad" for multivariate sets (tensor quadrature), and
+// "grid" for every univariate set, each of whose models carries a grid.
 func (ms *ModelSet) EvalKernel() string {
-	if ms.Sketch != nil {
-		return "sketch"
-	}
-	total, with := 0, 0
-	count := func(m *UniModel) {
-		total++
-		if m.HasGrid() {
-			with++
-		}
-	}
-	if ms.Uni != nil {
-		count(ms.Uni)
-	}
-	for _, m := range ms.Groups {
-		count(m)
-	}
-	for _, m := range ms.Nominal {
-		count(m)
-	}
 	switch {
-	case total == 0 || with == 0:
+	case ms.Sketch != nil:
+		return "sketch"
+	case ms.Multi != nil:
 		return "quad"
-	case with == total:
-		return "grid"
 	default:
-		return "mixed"
+		return "grid"
 	}
+}
+
+// EnsureGrids gives every univariate model in the set a grid whose tables
+// fit its regressor. Catalogs written with grids disabled decode without
+// one; it is rebuilt here by the same deterministic build training runs, so
+// the loaded model serves exactly what a retrain of its spec would. A model
+// that cannot be tabulated fails the load with an error naming it.
+func (ms *ModelSet) EnsureGrids() error {
+	models := map[string]*UniModel{"": ms.Uni}
+	for g, m := range ms.Groups {
+		models[fmt.Sprintf(" group %d", g)] = m
+	}
+	for v, m := range ms.Nominal {
+		models[fmt.Sprintf(" nominal value %q", v)] = m
+	}
+	for _, where := range slices.Sorted(maps.Keys(models)) {
+		m := models[where]
+		if m == nil || m.HasGrid() {
+			continue
+		}
+		g, err := buildGrid(m, 0)
+		if err != nil {
+			return fmt.Errorf("core: model %s%s: %w", ms.Key(), where, err)
+		}
+		m.Grid = g
+	}
+	return nil
 }
 
 // NumModels counts the trained models in the set (per-group and

@@ -79,6 +79,7 @@ func (m *MultiModel) integrals(lb, ub []float64) (num, den float64, err error) {
 	// minutes where this costs milliseconds, at accuracy well below model
 	// error (the integrand is a smooth product of Gaussians and a bounded
 	// step function).
+	gridFallbacks.Add(1)
 	pt := make([]float64, 2)
 	num = quadrature.FixedTensor2D(func(x, y float64) float64 {
 		pt[0], pt[1] = x, y

@@ -52,11 +52,6 @@ type TrainConfig struct {
 	Boost *boost.Options
 	// Workers bounds parallel per-group training (0 = GOMAXPROCS).
 	Workers int
-	// GridKnots sizes the train-time prefix-integral evaluation grid:
-	// 0 builds the default (DefaultGridKnots) grid, a positive value that
-	// many knots, and a negative value disables grid building so every
-	// integral runs through adaptive quadrature (the A/B baseline).
-	GridKnots int
 }
 
 func (c *TrainConfig) withDefaults() TrainConfig {
@@ -210,9 +205,11 @@ func Key(tbl string, xcols []string, ycol, groupBy string) string {
 }
 
 // trainPair fits the (D, R) pair over sample columns xs, ys representing n
-// logical rows, and reports how long each stage took. A canceled ctx aborts
-// between stages, so an abandoned training request stops burning CPU at the
-// next boundary.
+// logical rows, tabulates its evaluation grid, and reports how long each
+// stage took. A pair whose grid cannot be tabulated is refused with an
+// errNoGrid error naming the column, the support and the worst error. A
+// canceled ctx aborts between stages, so an abandoned training request
+// stops burning CPU at the next boundary.
 func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float64, cfg TrainConfig) (*UniModel, StageTimes, error) {
 	var st StageTimes
 	if len(xs) == 0 {
@@ -255,23 +252,18 @@ func trainPair(ctx context.Context, xCol, yCol string, xs, ys []float64, n float
 		}
 	}
 	m := &UniModel{XCol: xCol, YCol: yCol, N: n, D: d, R: r, XLo: lo, XHi: hi}
-	if cfg.GridKnots >= 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, st, err
-		}
-		t0 = time.Now()
-		knots := cfg.GridKnots
-		if knots == 0 {
-			knots = DefaultGridKnots
-		}
-		// buildGrid returns nil when validation rejects the tables; the
-		// model then keeps answering through quadrature. Every trainPair
-		// caller — plain, grouped, nominal, shard members, and the
-		// refresher's spec re-execution — flows through here, so grids are
-		// rebuilt on every retrain without extra plumbing.
-		m.Grid = buildGrid(m, knots, cfg.Workers)
-		st.Grid = time.Since(t0)
+	if err := ctx.Err(); err != nil {
+		return nil, st, err
 	}
+	t0 = time.Now()
+	// Every trainPair caller — plain, grouped, nominal, shard members, and
+	// the refresher's spec re-execution — flows through here, so no model is
+	// published without a grid, and a retrain that cannot build one fails
+	// and leaves the model it would have replaced in place.
+	if m.Grid, err = buildGrid(m, cfg.Workers); err != nil {
+		return nil, st, fmt.Errorf("core: %w", err)
+	}
+	st.Grid = time.Since(t0)
 	// The error predictor is fitted here, while the training sample is
 	// still in hand (it is discarded after training, §3) — like the grid,
 	// every caller and every retrain flows through this funnel.

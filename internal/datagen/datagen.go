@@ -6,8 +6,8 @@
 // equivalents: the same columns, the same kinds of inter-column
 // relationships (correlated prices/costs, nonlinear sensor responses,
 // Zipf-skewed join keys), so the model-training and query-evaluation code
-// paths are exercised identically. See DESIGN.md §2 for the substitution
-// rationale.
+// paths are exercised identically. See README, "Reproducing the paper's
+// evaluation", for the substitution rationale.
 package datagen
 
 import (

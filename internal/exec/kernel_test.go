@@ -13,16 +13,11 @@ import (
 var allAggs = []exact.AggFunc{exact.Count, exact.Sum, exact.Avg,
 	exact.Variance, exact.StdDev, exact.Percentile}
 
-// poisonSet returns a copy of ms whose univariate model carries a density
-// estimator with every bin weight NaN (Support() still works): any closed-
-// form CDF or density read at query time turns the answer NaN.
+// poisonSet returns a copy of ms whose univariate model has no density
+// estimator: any read of D at query time panics.
 func poisonSet(ms *core.ModelSet) *core.ModelSet {
-	c, u, d := *ms, *ms.Uni, *ms.Uni.D
-	d.Weights = make([]float64, len(d.Weights))
-	for i := range d.Weights {
-		d.Weights[i] = math.NaN()
-	}
-	u.D = &d
+	c, u := *ms, *ms.Uni
+	u.D = nil
 	c.Uni = &u
 	return &c
 }
@@ -53,9 +48,9 @@ func spanEnv(sp [2]float64) *Env {
 	return &Env{Workers: 1, Binds: Binds{{Num: sp[0]}, {Num: sp[1]}, {Num: 0.3}}}
 }
 
-// TestShardMergePoisonedDensity: a gridded ensemble answers every aggregate,
-// PERCENTILE included, without consulting any shard's closed-form density —
-// poisoned shards reproduce the clean answers and bounds bit for bit.
+// TestShardMergePoisonedDensity: an ensemble answers every aggregate,
+// PERCENTILE included, without reading any shard's density estimator —
+// shards without one reproduce the clean answers and bounds bit for bit.
 func TestShardMergePoisonedDensity(t *testing.T) {
 	tb := linearTable(t, 20000)
 	sets, err := core.TrainShardedContext(context.Background(), tb, "x", "y", 4, &core.TrainConfig{SampleSize: 4000, Seed: 3})

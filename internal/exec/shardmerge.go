@@ -41,8 +41,8 @@ func (s *ShardMerge) Operator() string { return "ShardMerge" }
 func (s *ShardMerge) Detail(b Binds) string {
 	lb, ub := s.Range.bounds(b)
 	idx := s.overlapping(lb, ub)
-	return fmt.Sprintf("%s key=%s shards=%d/%d range=%s kernel=%s", s.AggName, s.Sets[0].BaseKey(),
-		len(idx), len(s.Sets), rangeString(b, s.Range), s.kernel()) + boundsTag(s.worstRelErr(lb, ub, idx))
+	return fmt.Sprintf("%s key=%s shards=%d/%d range=%s kernel=grid", s.AggName, s.Sets[0].BaseKey(),
+		len(idx), len(s.Sets), rangeString(b, s.Range)) + boundsTag(s.worstRelErr(lb, ub, idx))
 }
 
 // worstRelErr is the largest overlapping shard's predicted relative error —
@@ -61,19 +61,6 @@ func (s *ShardMerge) worstRelErr(lb, ub float64, idx []int) float64 {
 		}
 	}
 	return worst
-}
-
-// kernel summarizes the evaluation kernel across the ensemble: "grid" or
-// "quad" when every shard agrees, "mixed" otherwise (e.g. one shard's grid
-// failed validation and fell back).
-func (s *ShardMerge) kernel() string {
-	k := s.Sets[0].EvalKernel()
-	for _, ms := range s.Sets[1:] {
-		if ms.EvalKernel() != k {
-			return "mixed"
-		}
-	}
-	return k
 }
 
 func (s *ShardMerge) Children(b Binds) []Node {
@@ -109,18 +96,12 @@ func (s *ShardMerge) Eval(env *Env, _ *table.Table) (AggregateResult, error) {
 	needSq := s.AF == exact.Variance || s.AF == exact.StdDev
 	partials := make([]shard.Partial, len(idx))
 	res := make([]float64, len(idx)) // per-shard predicted relative error
-	errs := make([]error, len(idx))
 	parallel.ForEach(len(idx), env.Workers, func(k int) {
 		m := s.Sets[idx[k]].Uni
 		var f float64
-		partials[k], f, errs[k] = m.Partial(lb, ub, s.YIsX, needSum, needSq)
+		partials[k], f = m.Partial(lb, ub, s.YIsX, needSum, needSq)
 		res[k] = m.EB.RelErr(s.AF, f)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return AggregateResult{}, err
-		}
-	}
 	v, ok := mergePartials(s.AF, partials)
 	if !ok {
 		return AggregateResult{}, wrapEmptyRegion(s.AggName, core.ErrNoSupport)
@@ -237,12 +218,11 @@ func (s *ShardMerge) percentile(p, lb, ub float64, idx []int) (float64, error) {
 	var live []*core.UniModel
 	for _, k := range idx {
 		m := s.Sets[k].Uni
-		// Count-only partial: no moment integral runs, so it cannot fail.
-		if part, _, _ := m.Partial(lb, ub, false, false, false); !part.Support {
+		if part, _ := m.Partial(lb, ub, false, false, false); !part.Support {
 			continue
 		}
 		live = append(live, m)
-		slo, shi := m.D.Support()
+		slo, shi := m.Grid.Span()
 		lo = math.Min(lo, slo)
 		hi = math.Max(hi, shi)
 	}

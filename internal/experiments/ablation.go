@@ -11,7 +11,8 @@ func init() {
 	register("ablation", "design-choice ablations: regressor family and KDE grid resolution", ablation)
 }
 
-// ablation quantifies the design choices DESIGN.md calls out:
+// ablation quantifies two of the paper's design choices (README,
+// "Reproducing the paper's evaluation"):
 //
 //  1. regression family — the paper's learned-selector ensemble vs each
 //     constituent alone (GBoost, XGBoost-style, piecewise linear);

@@ -3,7 +3,7 @@
 // experiment returns a FigureResult holding the same series the paper
 // plots, so shapes and ratios can be compared directly; absolute numbers
 // differ because the substrate is a single-process simulator rather than a
-// 12-core Spark cluster (see DESIGN.md §2 and EXPERIMENTS.md).
+// 12-core Spark cluster (see README, "Reproducing the paper's evaluation").
 //
 // The registry maps experiment IDs (the paper's figure numbers) to
 // runners; cmd/dbest-bench and the root bench_test.go both drive it.

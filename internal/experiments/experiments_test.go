@@ -16,7 +16,8 @@ var tinyCfg = Config{
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// Every figure promised in DESIGN.md §3 must be registered.
+	// Every figure the README's "Reproducing the paper's evaluation" lists
+	// must be registered.
 	want := []string{
 		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",

@@ -199,7 +199,7 @@ func rangeSweep(cfg Config, id, title string, wantErr bool) (*FigureResult, erro
 	if wantErr {
 		fr.Note("paper: error decreases as ranges grow (more sample support per range)")
 	} else {
-		fr.Note("paper: times grow with range (longer integration intervals)")
+		fr.Note("paper: times grow with range (longer integration intervals); here the train-time grid makes response time flat in range width (two table lookups per integral, whatever the range)")
 	}
 	return fr, nil
 }

@@ -28,6 +28,13 @@
 // per window node: the nodes below the window are a prefix sum read from a
 // table, added in the order the full loop would add them, so its values do
 // not change by a bit. See Binned.rawDensity and Binned.rawCDF.
+//
+// A reflected estimator folds each edge's spill back once. Where h is
+// within a few domain widths, the mass that would need a second fold —
+// Σ wᵢ·Φ((2Lo − Hi − xᵢ)/h) — is lost, so the raw reflected CDF stops short
+// of 1 at Hi and steps there. Both Density and CDF divide by the mass they
+// keep inside [Lo, Hi], computed once per estimator, so the CDF runs
+// continuously from 0 to 1.
 package kde
 
 import (
@@ -35,7 +42,6 @@ import (
 	"math"
 	"sort"
 	"sync/atomic"
-	"unsafe"
 )
 
 // kernelCutoff is the distance, in bandwidths, beyond which the Gaussian
@@ -225,11 +231,11 @@ type Binned struct {
 	N       int       // training sample size (for bookkeeping)
 	Reflect bool      // boundary reflection at Lo and Hi
 
-	// tab is the *binnedTab of this estimator, nil until a Density or CDF
-	// call builds it. Unexported, so gob neither writes nor sizes it; an
-	// untyped pointer cell rather than an atomic.Pointer, so a Binned may
-	// still be copied by value.
-	tab unsafe.Pointer
+	// tab holds the estimator's shared tables, nil until a Density or CDF
+	// call builds them. Unexported, so gob neither writes nor sizes it. The
+	// tables describe the fields above as they were at that first call, so a
+	// Binned is not altered once used — and, holding an atomic, not copied.
+	tab atomic.Pointer[binnedTab]
 }
 
 // DefaultBins is the grid resolution used when 0 is passed to NewBinned.
@@ -290,15 +296,10 @@ func (b *Binned) step() float64 {
 }
 
 // binnedTab is what every Density and CDF call on one estimator shares: the
-// kernel at whole-bin offsets, the running bin mass, and the one reflection
-// term that does not depend on x. It is derived state — built on first use,
-// never persisted — and records the estimator it was built for, so a Binned
-// copied by value and then altered rebuilds it instead of reading stale
-// tables.
+// kernel at whole-bin offsets, the running bin mass, and the two reflection
+// terms that do not depend on x. It is derived state — built on first use,
+// never persisted.
 type binnedTab struct {
-	lo, hi, h float64
-	w0        *float64 // &Weights[0]: the table belongs to this weight vector
-
 	step float64
 	// kern[k] = exp(−(k·step/h)²/2), for every offset k between two nodes.
 	kern []float64
@@ -306,6 +307,9 @@ type binnedTab struct {
 	pre []float64
 	// upper is rawCDF(2Hi − Lo), the upper-edge reflection constant of CDF.
 	upper float64
+	// mass is what a reflected estimator keeps inside [Lo, Hi]:
+	// upper − rawCDF(2Lo − Hi), the reflected CDF at Hi before normalising.
+	mass float64
 }
 
 // tables returns the estimator's shared tables, building them on first use.
@@ -313,13 +317,11 @@ type binnedTab struct {
 // store lands last is as good as the first; the pointer is only ever read
 // and written atomically.
 func (b *Binned) tables() *binnedTab {
-	t := (*binnedTab)(atomic.LoadPointer(&b.tab))
-	if t != nil && t.lo == b.Lo && t.hi == b.Hi && t.h == b.H &&
-		len(t.pre) == len(b.Weights)+1 && t.w0 == &b.Weights[0] {
+	if t := b.tab.Load(); t != nil {
 		return t
 	}
 	n := len(b.Weights)
-	t = &binnedTab{lo: b.Lo, hi: b.Hi, h: b.H, w0: &b.Weights[0], step: b.step()}
+	t := &binnedTab{step: b.step()}
 	t.kern = make([]float64, n)
 	for k := range t.kern {
 		u := float64(k) * t.step / b.H
@@ -330,7 +332,8 @@ func (b *Binned) tables() *binnedTab {
 		t.pre[i+1] = t.pre[i] + wi
 	}
 	t.upper = b.rawCDF(t, 2*b.Hi-b.Lo)
-	atomic.StorePointer(&b.tab, unsafe.Pointer(t))
+	t.mass = t.upper - b.rawCDF(t, 2*b.Lo-b.Hi)
+	b.tab.Store(t)
 	return t
 }
 
@@ -351,6 +354,7 @@ func (b *Binned) Density(x float64) float64 {
 		// Reflect the spilled edge mass back into the support.
 		d += b.rawDensity(t, 2*b.Lo-x)
 		d += b.rawDensity(t, 2*b.Hi-x)
+		d /= t.mass
 	}
 	return d
 }
@@ -426,8 +430,9 @@ func (b *Binned) CDF(x float64) float64 {
 	// F(x) = ∫_Lo^x [f_raw(t) + f_raw(2Lo−t) + f_raw(2Hi−t)] dt, where the
 	// two reflection integrals substitute to raw-CDF differences:
 	// lower: F_raw(Lo) − F_raw(2Lo−x); upper: F_raw(2Hi−Lo) − F_raw(2Hi−x).
-	c := b.rawCDF(t, x) - b.rawCDF(t, 2*b.Lo-x) +
-		t.upper - b.rawCDF(t, 2*b.Hi-x)
+	// Divided by F(Hi), the mass inside the support.
+	c := (b.rawCDF(t, x) - b.rawCDF(t, 2*b.Lo-x) +
+		t.upper - b.rawCDF(t, 2*b.Hi-x)) / t.mass
 	if c < 0 {
 		return 0
 	}

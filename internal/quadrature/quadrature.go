@@ -370,6 +370,8 @@ func Simpson(f func(float64) float64, a, b float64, n int) float64 {
 // Bisect finds a root of f in [a, b] by bisection — the "Naive Bisection
 // method" the paper uses for PERCENTILE (Eq. 4). f(a) and f(b) must bracket
 // a sign change. tol is the interval-width tolerance.
+//
+//lint:deadexport test oracle: the paper's PERCENTILE by bisection over the closed-form CDF, which the grid's CDF inversion is checked against
 func Bisect(f func(float64) float64, a, b, tol float64, maxIter int) (float64, error) {
 	fa, fb := f(a), f(b)
 	if fa == 0 {

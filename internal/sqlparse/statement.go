@@ -13,7 +13,7 @@ import (
 //	CREATE MODEL <name> ON <table> ( x1 [, x2]* ; y )
 //	    [JOIN <table2> ON lk = rk [FRACTION num / denom]]
 //	    [GROUP BY col] [NOMINAL BY col]
-//	    [SHARDS k] [SAMPLE n] [SEED s] [GRID knots | GRID OFF]
+//	    [SHARDS k] [SAMPLE n] [SEED s]
 //	CREATE SKETCH <name> ON <table> ( x )
 //	    [TYPE HLL | TOPK] [PRECISION p] [K k]
 //	DROP MODEL <name>        (DROP SKETCH is accepted as an alias)
@@ -42,9 +42,6 @@ type CreateModelStmt struct {
 	Sample    int
 	Seed      int64
 	HasSeed   bool
-	// Grid is the evaluation-grid base knot budget: 0 = not specified
-	// (engine default), positive = explicit budget, -1 = GRID OFF.
-	Grid int
 }
 
 // CreateSketchStmt is the parsed CREATE SKETCH statement. Zero values of
@@ -289,19 +286,7 @@ func (p *parser) parseModelClauses(cm *CreateModelStmt) error {
 			}
 			cm.Sample = int(n)
 		case p.peekWord("GRID"):
-			if cm.Grid != 0 {
-				return p.errf("duplicate GRID clause")
-			}
-			p.next()
-			if p.acceptWord("OFF") {
-				cm.Grid = -1
-				continue
-			}
-			k, err := p.expectPosInt("GRID")
-			if err != nil {
-				return err
-			}
-			cm.Grid = int(k)
+			return p.errf("the GRID clause was removed: every model now serves from its train-time evaluation grid, which is always built")
 		case p.peekWord("SEED"):
 			if cm.HasSeed {
 				return p.errf("duplicate SEED clause")

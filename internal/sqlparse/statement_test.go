@@ -50,15 +50,6 @@ func TestParseCreateModel(t *testing.T) {
 			CreateModelStmt{Name: "o", Table: "t", XCols: []string{"x"}, YCol: "y",
 				Shards: 2, Sample: 10, Seed: 1, HasSeed: true},
 		},
-		{
-			"CREATE MODEL gk ON t(x; y) GRID 256",
-			CreateModelStmt{Name: "gk", Table: "t", XCols: []string{"x"}, YCol: "y", Grid: 256},
-		},
-		{
-			"CREATE MODEL goff ON t(x; y) grid off SAMPLE 100",
-			CreateModelStmt{Name: "goff", Table: "t", XCols: []string{"x"}, YCol: "y",
-				Grid: -1, Sample: 100},
-		},
 	}
 	for _, c := range cases {
 		st, err := ParseStatement(c.sql)
@@ -88,9 +79,8 @@ func TestParseCreateModelErrors(t *testing.T) {
 		{"CREATE MODEL m ON t(x; y) SAMPLE -1", "positive integer"},
 		{"CREATE MODEL m ON t(x; y) SEED 1.5", "SEED wants an integer"},
 		{"CREATE MODEL m ON t(x; y) SHARDS 2 SHARDS 4", "duplicate SHARDS"},
-		{"CREATE MODEL m ON t(x; y) GRID 0", "positive integer"},
-		{"CREATE MODEL m ON t(x; y) GRID -64", "positive integer"},
-		{"CREATE MODEL m ON t(x; y) GRID OFF GRID 128", "duplicate GRID"},
+		{"CREATE MODEL m ON t(x; y) GRID 256", "GRID clause was removed"},
+		{"CREATE MODEL m ON t(x; y) SAMPLE 100 grid off", "GRID clause was removed"},
 		{"CREATE MODEL m ON t(x; y) GROUP BY g GROUP BY h", "duplicate GROUP BY"},
 		{"CREATE MODEL m ON t(x; y) JOIN b ON k = k JOIN c ON k = k", "duplicate JOIN"},
 		{"CREATE MODEL m ON t(x; y) JOIN b ON k1 = k2 FRACTION 3/2", "FRACTION 3/2 exceeds 1"},

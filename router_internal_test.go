@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// TestWithinRouteNeverConsultsDensity drives the invariant "a gridded model
-// never consults D at query time" through the whole engine: after the
-// published model's density weights are overwritten with NaN, a WITHIN-routed
-// query still serves from the model with the same answer and the same
-// predicted error (the router's decision input), and Describe — the
-// analytics panel over the same kernel — is unchanged too.
+// TestWithinRouteNeverConsultsDensity drives the invariant "serving never
+// reads D" through the whole engine: after the published model's density
+// estimator is removed, a WITHIN-routed query still serves from the model
+// with the same answer and the same predicted error (the router's decision
+// input), and Describe — the analytics panel over the same kernel — is
+// unchanged too.
 func TestWithinRouteNeverConsultsDensity(t *testing.T) {
 	eng := New(nil)
 	if err := eng.RegisterTable(snapTestTable("t", 20000, 1)); err != nil {
@@ -56,9 +56,7 @@ func TestWithinRouteNeverConsultsDensity(t *testing.T) {
 	}
 	// Single goroutine, so mutating the published (otherwise immutable) model
 	// in place is safe — and reaches the cached plans, which hold this pointer.
-	for i := range ms.Uni.D.Weights {
-		ms.Uni.D.Weights[i] = math.NaN()
-	}
+	ms.Uni.D = nil
 	got, gotDesc := run()
 
 	for i := range want {

@@ -29,7 +29,7 @@ import (
 //
 //	CREATE MODEL <name> ON <tbl>(x [, x2]; y)
 //	    [JOIN <tbl2> ON lk = rk [FRACTION num/denom]]
-//	    [GROUP BY c] [NOMINAL BY c] [SHARDS k] [SAMPLE n] [SEED s] [GRID knots | GRID OFF]
+//	    [GROUP BY c] [NOMINAL BY c] [SHARDS k] [SAMPLE n] [SEED s]
 //	DROP MODEL <name>
 //	SHOW MODELS
 //
@@ -121,12 +121,6 @@ type ModelSpec struct {
 	// Regressor selects the regression family: "" or "ensemble" (default),
 	// or a single constituent "gboost", "xgboost", "plr".
 	Regressor string `json:"regressor,omitempty"`
-	// GridKnots is the base knot budget of the train-time evaluation grid
-	// that answers range aggregates in constant time (SQL: GRID <knots> |
-	// GRID OFF). 0 uses the default budget, a positive value sets it, and a
-	// negative value disables grids so every integral goes through adaptive
-	// quadrature.
-	GridKnots int `json:"grid_knots,omitempty"`
 }
 
 // regressorFamilies mirrors the families core's fitRegressor accepts, so a
@@ -264,7 +258,6 @@ func (s *ModelSpec) config() *core.TrainConfig {
 		EnsemblePLR:   s.EnsemblePLR,
 		Bins:          s.KDEBins,
 		Regressor:     s.Regressor,
-		GridKnots:     s.GridKnots,
 	}
 }
 
@@ -331,12 +324,6 @@ func (s *ModelSpec) Summary() string {
 	}
 	if s.Seed != 0 {
 		fmt.Fprintf(&b, " SEED %d", s.Seed)
-	}
-	switch {
-	case s.GridKnots > 0:
-		fmt.Fprintf(&b, " GRID %d", s.GridKnots)
-	case s.GridKnots < 0:
-		b.WriteString(" GRID OFF")
 	}
 	return b.String()
 }

@@ -113,7 +113,6 @@ func specFromStatement(cm *sqlparse.CreateModelStmt) *ModelSpec {
 		Shards:     cm.Shards,
 		SampleSize: cm.Sample,
 		Seed:       cm.Seed,
-		GridKnots:  cm.Grid,
 	}
 	if cm.Join != nil {
 		spec.Join = &JoinSpec{
