@@ -149,35 +149,18 @@ func (v *VerdictSim) Query(req exact.Request) (*exact.Result, error) {
 	return scanScaled(v.Sample, req, func(int) float64 { return v.ratio })
 }
 
-// scanScaled runs the weighted scan with a per-row weight function.
+// scanScaled runs the weighted scan with a per-row weight function over the
+// rows the exact engine's filter selects.
 func scanScaled(tb *table.Table, req exact.Request, weight func(row int) float64) (*exact.Result, error) {
 	ycol, err := tb.Floats(req.Y)
 	if err != nil {
 		return nil, err
 	}
-	type pred struct {
-		col    []float64
-		lb, ub float64
-	}
-	preds := make([]pred, 0, len(req.Predicates))
-	for _, r := range req.Predicates {
-		c, err := tb.Floats(r.Column)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, pred{c, r.Lb, r.Ub})
-	}
 	wantQ := req.AF == exact.Percentile
 	if req.Group == "" {
 		acc := weightedAccum{wantQ: wantQ}
-	rows:
-		for i := range ycol {
-			for _, p := range preds {
-				if ycol := p.col[i]; ycol < p.lb || ycol > p.ub {
-					continue rows
-				}
-			}
-			acc.add(ycol[i], weight(i))
+		if err := exact.Each(tb, req.Predicates, req.Equals, func(i int) { acc.add(ycol[i], weight(i)) }); err != nil {
+			return nil, err
 		}
 		val, err := acc.result(req.AF, req.P)
 		if err != nil {
@@ -193,13 +176,7 @@ func scanScaled(tb *table.Table, req exact.Request, weight func(row int) float64
 		return nil, fmt.Errorf("baseline: group column %q must be INT64", req.Group)
 	}
 	accs := make(map[int64]*weightedAccum)
-grouped:
-	for i := range ycol {
-		for _, p := range preds {
-			if v := p.col[i]; v < p.lb || v > p.ub {
-				continue grouped
-			}
-		}
+	err = exact.Each(tb, req.Predicates, req.Equals, func(i int) {
 		g := gc.Ints[i]
 		a, ok := accs[g]
 		if !ok {
@@ -207,6 +184,9 @@ grouped:
 			accs[g] = a
 		}
 		a.add(ycol[i], weight(i))
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := &exact.Result{Groups: make(map[int64]float64, len(accs))}
 	for g, a := range accs {

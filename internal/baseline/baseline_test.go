@@ -282,3 +282,24 @@ func TestVerdictScaleLinearityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A NaN predicate value satisfies no range, in the baselines as in the
+// exact engine: the sample's NaN row must not be counted.
+func TestVerdictSimRejectsNaNPredicateRows(t *testing.T) {
+	tb := table.New("t")
+	tb.AddFloatColumn("x", []float64{1, 2, math.NaN(), 4})
+	tb.AddFloatColumn("y", []float64{10, 20, 30, 40})
+	v := &VerdictSim{Name: "t", Sample: tb, N: 4, ratio: 1}
+	req := exact.Request{AF: exact.Count, Y: "y", Predicates: []exact.Range{{Column: "x", Lb: 0, Ub: 10}}}
+	got, err := v.Query(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := exact.Query(tb, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Value != 3 || want.Value != 3 {
+		t.Fatalf("COUNT over x in [0, 10] = %v, exact %v; want 3 (the NaN row fails the range)", got.Value, want.Value)
+	}
+}

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"dbest/internal/sketch"
@@ -17,52 +16,6 @@ import (
 // Values are canonicalized exactly like the sketches canonicalize them
 // (sketch.FloatKey for numeric columns, raw strings otherwise), so oracle
 // and estimate count the same value universe.
-
-// rowFilter compiles the conjunctive range + equality predicates into one
-// per-row match function over tb.
-func rowFilter(tb *table.Table, predicates []Range, equals []Equal) (func(i int) bool, error) {
-	type pred struct {
-		col    []float64
-		lb, ub float64
-	}
-	preds := make([]pred, 0, len(predicates))
-	for _, r := range predicates {
-		c, err := tb.Floats(r.Column)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, pred{c, r.Lb, r.Ub})
-	}
-	type eq struct {
-		col   *table.Column
-		value string
-	}
-	eqs := make([]eq, 0, len(equals))
-	for _, e := range equals {
-		c := tb.Column(e.Column)
-		if c == nil {
-			return nil, fmt.Errorf("exact: no column %q", e.Column)
-		}
-		eqs = append(eqs, eq{c, e.Value})
-	}
-	return func(i int) bool {
-		for _, p := range preds {
-			// NaN fails every comparison, so "v < lb || v > ub" alone would
-			// let NaN rows through a range they can never satisfy. Reject
-			// them explicitly, matching the model path (which never trains
-			// on or integrates over NaN).
-			if v := p.col[i]; math.IsNaN(v) || v < p.lb || v > p.ub {
-				return false
-			}
-		}
-		for _, e := range eqs {
-			if e.col.Str(i) != e.value {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
 
 // valueKey is the canonical per-row value form shared with the sketches.
 func valueKey(c *table.Column, i int) string {
@@ -84,17 +37,9 @@ func DistinctCount(tb *table.Table, col string, predicates []Range, equals []Equ
 		n, err := tb.DistinctCount(col)
 		return float64(n), err
 	}
-	match, err := rowFilter(tb, predicates, equals)
-	if err != nil {
-		return 0, err
-	}
 	set := make(map[string]struct{})
-	for i := 0; i < c.Len(); i++ {
-		if match(i) {
-			set[valueKey(c, i)] = struct{}{}
-		}
-	}
-	return float64(len(set)), nil
+	err := Each(tb, predicates, equals, func(i int) { set[valueKey(c, i)] = struct{}{} })
+	return float64(len(set)), err
 }
 
 // TopValues computes the exact TOP k(col) over the rows of tb satisfying
@@ -109,15 +54,9 @@ func TopValues(tb *table.Table, col string, k int, predicates []Range, equals []
 	if c == nil {
 		return nil, fmt.Errorf("exact: no column %q", col)
 	}
-	match, err := rowFilter(tb, predicates, equals)
-	if err != nil {
-		return nil, err
-	}
 	counts := make(map[string]uint64)
-	for i := 0; i < c.Len(); i++ {
-		if match(i) {
-			counts[valueKey(c, i)]++
-		}
+	if err := Each(tb, predicates, equals, func(i int) { counts[valueKey(c, i)]++ }); err != nil {
+		return nil, err
 	}
 	out := make([]sketch.Entry, 0, len(counts))
 	for v, n := range counts {

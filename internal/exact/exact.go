@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dbest/internal/table"
@@ -74,40 +75,35 @@ type Request struct {
 	P          float64 // percentile point for AF == Percentile, in [0, 1]
 }
 
-// accum accumulates streaming moments for one group.
-type accum struct {
-	n            float64
-	sum, sumSq   float64
-	values       []float64 // retained only for percentile
-	wantQuantile bool
+// moments are the streaming sums of one selection, added in row order.
+type moments struct {
+	n, sum, sumSq float64
+	vals          []float64 // the selected values, retained for PERCENTILE only
 }
 
-func (a *accum) add(v float64) {
-	a.n++
-	a.sum += v
-	a.sumSq += v * v
-	if a.wantQuantile {
-		a.values = append(a.values, v)
-	}
+func (m *moments) add(v float64) {
+	m.n++
+	m.sum += v
+	m.sumSq += v * v
 }
 
-func (a *accum) result(af AggFunc, p float64) (float64, error) {
+func (m *moments) result(af AggFunc, p float64) (float64, error) {
 	switch af {
 	case Count:
-		return a.n, nil
+		return m.n, nil
 	case Sum:
-		return a.sum, nil
+		return m.sum, nil
 	case Avg:
-		if a.n == 0 {
+		if m.n == 0 {
 			return 0, errors.New("exact: AVG over empty selection")
 		}
-		return a.sum / a.n, nil
+		return m.sum / m.n, nil
 	case Variance, StdDev:
-		if a.n == 0 {
+		if m.n == 0 {
 			return 0, errors.New("exact: VARIANCE over empty selection")
 		}
-		m := a.sum / a.n
-		v := a.sumSq/a.n - m*m
+		mean := m.sum / m.n
+		v := m.sumSq/m.n - mean*mean
 		if v < 0 {
 			v = 0
 		}
@@ -116,28 +112,94 @@ func (a *accum) result(af AggFunc, p float64) (float64, error) {
 		}
 		return v, nil
 	case Percentile:
-		if len(a.values) == 0 {
+		if len(m.vals) == 0 {
 			return 0, errors.New("exact: PERCENTILE over empty selection")
 		}
-		sort.Float64s(a.values)
-		return quantile(a.values, p), nil
+		return quantile(m.vals, p), nil
 	default:
 		return 0, fmt.Errorf("exact: unsupported aggregate %v", af)
 	}
 }
 
-func quantile(sorted []float64, p float64) float64 {
+// quantile is the p-quantile of vals, interpolated linearly between the
+// closest ranks of sort.Float64s order. It takes those ranks by selection
+// rather than sorting, and reorders vals.
+func quantile(vals []float64, p float64) float64 {
 	if p <= 0 {
-		return sorted[0]
+		return selectRank(vals, 0)
 	}
 	if p >= 1 {
-		return sorted[len(sorted)-1]
+		return selectRank(vals, len(vals)-1)
 	}
-	pos := p * float64(len(sorted)-1)
+	pos := p * float64(len(vals)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	vlo := selectRank(vals, lo)
+	vhi := vlo
+	if hi > lo {
+		// selectRank left vals[lo+1:] at or above rank lo: rank hi is its
+		// least element.
+		vhi = vals[hi]
+		for _, v := range vals[hi+1:] {
+			if less(v, vhi) {
+				vhi = v
+			}
+		}
+	}
+	return vlo*(1-frac) + vhi*frac
+}
+
+// less is sort.Float64s's order: NaNs first, then ascending.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank reorders a so that a[k] holds the value sort.Float64s would
+// put there, with nothing after it ordered before it, and returns a[k]. It
+// is quickselect with a median-of-three pivot and a three-way partition, so
+// runs of equal values cost one pass; a range still unresolved after
+// 2·log2(n) rounds is sorted instead.
+func selectRank(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			break
+		}
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if less(y, x) {
+			x, y = y, x
+		}
+		if less(z, y) {
+			y = z
+			if less(y, x) {
+				y = x
+			}
+		}
+		// a[lo:lt] < y, a[lt:i] == y, a[gt+1:hi+1] > y.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := a[i]; {
+			case less(v, y):
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case less(y, v):
+				a[gt], a[i] = v, a[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // Result is an exact answer, optionally per group.
@@ -146,43 +208,16 @@ type Result struct {
 	Groups map[int64]float64 // per-group answers (GROUP BY)
 }
 
-// Query computes the exact answer for req over tb in one pass.
+// Query computes the exact answer for req over tb: one pass of the block
+// filter, and a second that retains the selected values for PERCENTILE.
 func Query(tb *table.Table, req Request) (*Result, error) {
-	ycol, err := tb.Floats(req.Y)
+	yc, err := numeric(tb, req.Y)
 	if err != nil {
 		return nil, err
 	}
-	type pred struct {
-		col    []float64
-		lb, ub float64
-	}
-	preds := make([]pred, 0, len(req.Predicates))
-	for _, r := range req.Predicates {
-		c, err := tb.Floats(r.Column)
-		if err != nil {
-			return nil, err
-		}
-		preds = append(preds, pred{c, r.Lb, r.Ub})
-	}
-	type eq struct {
-		col   *table.Column
-		value string
-	}
-	eqs := make([]eq, 0, len(req.Equals))
-	for _, e := range req.Equals {
-		c := tb.Column(e.Column)
-		if c == nil {
-			return nil, fmt.Errorf("exact: no column %q", e.Column)
-		}
-		eqs = append(eqs, eq{c, e.Value})
-	}
-	matchEq := func(i int) bool {
-		for _, e := range eqs {
-			if e.col.Str(i) != e.value {
-				return false
-			}
-		}
-		return true
+	var s selection
+	if err := s.init(tb, yc.Len(), req.Predicates, req.Equals); err != nil {
+		return nil, err
 	}
 	var groups []int64
 	if req.Group != "" {
@@ -195,51 +230,72 @@ func Query(tb *table.Table, req Request) (*Result, error) {
 		}
 		groups = gc.Ints
 	}
+	if yc.Type == table.Int64 {
+		return query(&s, yc.Ints, groups, req)
+	}
+	return query(&s, yc.Floats, groups, req)
+}
 
-	wantQ := req.AF == Percentile
+// query aggregates ys over the rows s selects, in row order, so every sum
+// is the one a row-at-a-time loop would add up.
+func query[T int64 | float64](s *selection, ys []T, groups []int64, req Request) (*Result, error) {
 	if groups == nil {
-		acc := accum{wantQuantile: wantQ}
-	rows:
-		for i := range ycol {
-			for _, p := range preds {
-				// NaN must not pass a range predicate (it fails both
-				// comparisons below), mirroring rowFilter in distinct.go.
-				v := p.col[i]
-				if math.IsNaN(v) || v < p.lb || v > p.ub {
-					continue rows
+		var n, sum, sumSq float64
+		for base := 0; base < s.n; base += blockSize {
+			yb := ys[base:]
+			for _, i := range s.block(base) {
+				v := float64(yb[i])
+				n++
+				sum += v
+				sumSq += v * v
+			}
+		}
+		m := moments{n: n, sum: sum, sumSq: sumSq}
+		if req.AF == Percentile {
+			m.vals = make([]float64, 0, int(n))
+			for base := 0; base < s.n; base += blockSize {
+				yb := ys[base:]
+				for _, i := range s.block(base) {
+					m.vals = append(m.vals, float64(yb[i]))
 				}
 			}
-			if !matchEq(i) {
-				continue
-			}
-			acc.add(ycol[i])
 		}
-		v, err := acc.result(req.AF, req.P)
+		v, err := m.result(req.AF, req.P)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Value: v}, nil
 	}
 
-	accs := make(map[int64]*accum)
-grouped:
-	for i := range ycol {
-		for _, p := range preds {
-			v := p.col[i]
-			if math.IsNaN(v) || v < p.lb || v > p.ub {
-				continue grouped
+	accs := make(map[int64]*moments)
+	for base := 0; base < s.n; base += blockSize {
+		yb, gb := ys[base:], groups[base:]
+		for _, i := range s.block(base) {
+			a := accs[gb[i]]
+			if a == nil {
+				a = new(moments)
+				accs[gb[i]] = a
+			}
+			a.add(float64(yb[i]))
+		}
+	}
+	if req.AF == Percentile {
+		// One buffer holds every group's values, carved by group counts.
+		total := 0
+		for _, a := range accs {
+			total += int(a.n)
+		}
+		buf := make([]float64, total)
+		for _, a := range accs {
+			a.vals, buf = buf[:0:int(a.n)], buf[int(a.n):]
+		}
+		for base := 0; base < s.n; base += blockSize {
+			yb, gb := ys[base:], groups[base:]
+			for _, i := range s.block(base) {
+				a := accs[gb[i]]
+				a.vals = append(a.vals, float64(yb[i]))
 			}
 		}
-		if !matchEq(i) {
-			continue
-		}
-		g := groups[i]
-		a, ok := accs[g]
-		if !ok {
-			a = &accum{wantQuantile: wantQ}
-			accs[g] = a
-		}
-		a.add(ycol[i])
 	}
 	out := &Result{Groups: make(map[int64]float64, len(accs))}
 	for g, a := range accs {
